@@ -55,12 +55,13 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             # a flag left at its default yields to the config file
             if resolved[key] == defaults.get(key):
                 resolved[key] = value
+    # a config file may set "seed": null; 0 is a seed like any other
+    resolved["seed"] = DEFAULT_SEED if resolved.get("seed") is None else int(resolved["seed"])
     return resolved
 
 
 def _write_snapshot(out_dir: Path, command: str, resolved: dict) -> None:
     snapshot = {"command": command, **resolved}
-    snapshot["seed"] = int(snapshot.get("seed") or DEFAULT_SEED)
     (out_dir / "resolved_config.json").write_text(json.dumps(snapshot, indent=1, sort_keys=True))
 
 
@@ -85,7 +86,6 @@ def _load_spec(resolved: dict) -> SynthSpec:
 
 def cmd_gen(args, parser) -> int:
     resolved = _resolve(args, parser)
-    resolved["seed"] = int(resolved.get("seed") or DEFAULT_SEED)
     spec = _load_spec(resolved)
     out = _prepare_out(resolved["out"] or Path(_out_root()) / f"gen_{spec.name}")
 
@@ -118,7 +118,6 @@ def _dataset_for(resolved: dict):
 
 def cmd_train(args, parser) -> int:
     resolved = _resolve(args, parser)
-    resolved["seed"] = int(resolved.get("seed") or DEFAULT_SEED)
     dataset, data_ref = _dataset_for(resolved)
 
     model_config = ModelConfig(
@@ -159,7 +158,6 @@ def cmd_train(args, parser) -> int:
 
 def cmd_explain(args, parser) -> int:
     resolved = _resolve(args, parser)
-    resolved["seed"] = int(resolved.get("seed") or DEFAULT_SEED)
     model, extra = CrossScaleNet.load(resolved["checkpoint"])
     lookback, horizon = model.config.lookback, model.config.horizon
 
@@ -198,7 +196,6 @@ def cmd_explain(args, parser) -> int:
 
 def cmd_ablation(args, parser) -> int:
     resolved = _resolve(args, parser)
-    resolved["seed"] = int(resolved.get("seed") or DEFAULT_SEED)
     datasets = resolved["datasets"].split(",")
     variants = resolved["variants"].split(",")
     seeds = [int(s) for s in resolved["seeds"].split(",")]

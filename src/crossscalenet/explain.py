@@ -23,6 +23,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -174,46 +175,30 @@ def saliency_agreement(saliency: SaliencyVector, truth: SaliencyTruth) -> Agreem
 
 
 def perturb(window: np.ndarray, mask: np.ndarray, mode: str) -> np.ndarray:
-    """Mean-replace positions of one (T, F) window.
+    """Mean-replace positions of one (T, F) window or of every window in a
+    (B, T, F) stack.
 
     keep: positions outside the mask are replaced by the feature's window
     mean; remove: positions inside the mask are replaced. keep(mask) and
-    remove(complement) coincide bit-exactly.
+    remove(complement) coincide bit-exactly. The mask is a (T,) vector or
+    broadcasts to (T, F); a stack applies it to every window.
     """
     if mode not in ("keep", "remove"):
         raise ValueError(f"mode must be 'keep' or 'remove', got {mode!r}")
     window = np.asarray(window, dtype=np.float64)
+    if window.ndim not in (2, 3):
+        raise ValueError(f"perturb needs a (T, F) window or a (B, T, F) stack, got shape {window.shape}")
     mask = np.asarray(mask)
     if mask.ndim == 1:
         mask = mask[:, None]
     try:
-        mask = np.broadcast_to(mask != 0, window.shape)
+        mask = np.broadcast_to(mask != 0, window.shape[-2:])
     except ValueError as exc:
         raise ValueError(f"mask shape {mask.shape} does not broadcast to window {window.shape}") from exc
-    means = np.broadcast_to(window.mean(axis=0, keepdims=True), window.shape)
+    means = window.mean(axis=-2, keepdims=True)
     if mode == "keep":
         return np.where(mask, window, means)
     return np.where(mask, means, window)
-
-
-def _perturb_batch(windows: np.ndarray, mask: np.ndarray | None, mode: str) -> np.ndarray:
-    """Vectorized perturb over (B, T, F); mask None means all positions."""
-    if mask is None:
-        mask = np.ones(windows.shape[1])
-    mask = np.asarray(mask)
-    if mask.ndim == 1:
-        mask = mask[:, None]
-    mask = np.broadcast_to(mask != 0, windows.shape[1:])
-    means = np.broadcast_to(windows.mean(axis=1, keepdims=True), windows.shape)
-    if mode == "keep":
-        return np.where(mask, windows, means)
-    return np.where(mask, means, windows)
-
-
-def _split_mse(model: CrossScaleNet, dataset: WindowDataset, split: str, x: np.ndarray) -> float:
-    _, y = dataset.windows(split)
-    preds = model.predict(x)[..., dataset.target_columns]
-    return compute_metrics(preds, y).mse
 
 
 def _top_ratio_mask(saliency, lookback: int, ratio: float) -> np.ndarray:
@@ -239,6 +224,49 @@ def _normalized_error_gap(e_perturbed: float, e_full: float, e_blank: float, met
     return float(np.clip((e_perturbed - e_full) / gap, 0.0, 1.0))
 
 
+class _SplitErrors:
+    """Target-column MSE of one split's windows, intact or perturbed.
+
+    The intact and the fully blanked errors are each predicted at most once,
+    so one instance shares them across feature ablation, sufficiency and
+    comprehensiveness.
+    """
+
+    def __init__(self, model: CrossScaleNet, dataset: WindowDataset, split: str):
+        self.model = model
+        self.dataset = dataset
+        self.x, self.y = dataset.windows(split)
+
+    def mse(self, x: np.ndarray) -> float:
+        preds = self.model.predict(x)[..., self.dataset.target_columns]
+        return compute_metrics(preds, self.y).mse
+
+    @cached_property
+    def full(self) -> float:
+        return self.mse(self.x)
+
+    @cached_property
+    def blank(self) -> float:
+        return self.mse(perturb(self.x, np.ones(self.dataset.lookback), "remove"))
+
+    def masked(self, saliency, ratio: float, mode: str) -> float:
+        """Normalized error gap with the top-ratio salient positions kept
+        (sufficiency) or removed (comprehensiveness)."""
+        mask = _top_ratio_mask(saliency, self.dataset.lookback, ratio)
+        e_perturbed = self.mse(perturb(self.x, mask, mode))
+        metric = "sufficiency" if mode == "keep" else "comprehensiveness"
+        return _normalized_error_gap(e_perturbed, self.full, self.blank, metric)
+
+    def ablation(self, channels: list[int]) -> dict[int, float]:
+        denom = max(self.full, 1e-12)
+        scores: dict[int, float] = {}
+        for channel in channels:
+            ablated = self.x.copy()
+            ablated[:, :, channel] = self.x[:, :, channel].mean(axis=1, keepdims=True)
+            scores[channel] = (self.mse(ablated) - self.full) / denom
+        return scores
+
+
 def sufficiency(
     model: CrossScaleNet,
     dataset: WindowDataset,
@@ -248,12 +276,7 @@ def sufficiency(
 ) -> float:
     """Error increase when keeping only the top-ratio salient positions,
     normalized to [0, 1] by the blank-input error gap. Lower is better."""
-    mask = _top_ratio_mask(saliency, dataset.lookback, ratio)
-    x, _ = dataset.windows(split)
-    e_full = _split_mse(model, dataset, split, x)
-    e_keep = _split_mse(model, dataset, split, _perturb_batch(x, mask, "keep"))
-    e_blank = _split_mse(model, dataset, split, _perturb_batch(x, None, "remove"))
-    return _normalized_error_gap(e_keep, e_full, e_blank, "sufficiency")
+    return _SplitErrors(model, dataset, split).masked(saliency, ratio, "keep")
 
 
 def comprehensiveness(
@@ -265,12 +288,7 @@ def comprehensiveness(
 ) -> float:
     """Error increase when removing the top-ratio salient positions,
     normalized like sufficiency. Higher is better."""
-    mask = _top_ratio_mask(saliency, dataset.lookback, ratio)
-    x, _ = dataset.windows(split)
-    e_full = _split_mse(model, dataset, split, x)
-    e_remove = _split_mse(model, dataset, split, _perturb_batch(x, mask, "remove"))
-    e_blank = _split_mse(model, dataset, split, _perturb_batch(x, None, "remove"))
-    return _normalized_error_gap(e_remove, e_full, e_blank, "comprehensiveness")
+    return _SplitErrors(model, dataset, split).masked(saliency, ratio, "remove")
 
 
 def feature_ablation(
@@ -284,31 +302,37 @@ def feature_ablation(
     from the default candidate set."""
     if channels is None:
         channels = [c for c in range(dataset.n_columns) if c not in dataset.target_columns]
-    x, _ = dataset.windows(split)
-    e_full = _split_mse(model, dataset, split, x)
-    denom = max(e_full, 1e-12)
-    scores: dict[int, float] = {}
-    for channel in channels:
-        ablated = x.copy()
-        ablated[:, :, channel] = x[:, :, channel].mean(axis=1, keepdims=True)
-        scores[channel] = (_split_mse(model, dataset, split, ablated) - e_full) / denom
-    return scores
+    return _SplitErrors(model, dataset, split).ablation(channels)
 
 
 # ---------------------------------------------------------------------------
 # integrated gradients
 
+# Path points per tape: predict's batch size, which bounds a tape's memory
+# at any step count.
+_IG_BATCH = 256
+
 
 def target_sum_grad_fn(model: CrossScaleNet, target_columns: list[int]):
-    """(T, F) window -> (sum of target-channel forecasts, input gradient)."""
+    """Window(s) -> (sum of target-channel forecasts, input gradient).
 
-    def value_and_grad(window: np.ndarray) -> tuple[float, np.ndarray]:
+    The returned function takes one (T, F) window or a (K, T, F) stack. The
+    value sums over the whole stack and the gradient has the input's shape.
+    One tape serves the whole stack, and row k of its gradient is exactly
+    window k's own gradient, because every op of the forward pass (instance
+    norm, pooling, attention, the encoders and fusion) acts within one
+    window. Only the floating-point summation order depends on K.
+    """
+
+    def value_and_grad(windows: np.ndarray) -> tuple[float, np.ndarray]:
+        windows = np.asarray(windows, dtype=np.float64)
+        single = windows.ndim == 2
         with Tape() as tape:
-            x = Tensor(np.asarray(window, dtype=np.float64)[None], requires_grad=True)
+            x = Tensor(windows[None] if single else windows, requires_grad=True)
             forecast, _ = model.forward(x)
             total = sum_all(take_lastdim(forecast, target_columns))
             tape.backward(total)
-        return total.item(), x.grad[0]
+        return total.item(), x.grad[0] if single else x.grad
 
     return value_and_grad
 
@@ -323,7 +347,11 @@ def integrated_gradients(
 
     Right-endpoint Riemann approximation of the path integral; exact for
     linear models at any step count. The default baseline holds every
-    feature at its window mean.
+    feature at its window mean. ``value_and_grad`` follows the stack
+    contract of ``target_sum_grad_fn``: it maps a (K, T, F) stack of path
+    points to (summed value, (K, T, F) gradient). The path goes to it in
+    chunks of at most 256 points, so the default 64 steps take one call.
+    Stacking is exact for a model whose ops act within one window.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -334,10 +362,11 @@ def integrated_gradients(
     if baseline.shape != window.shape:
         raise ValueError(f"baseline shape {baseline.shape} != window shape {window.shape}")
     delta = window - baseline
+    alphas = np.arange(1, steps + 1) / steps
     grad_total = np.zeros_like(window)
-    for k in range(1, steps + 1):
-        _, grad = value_and_grad(baseline + (k / steps) * delta)
-        grad_total += grad
+    for lo in range(0, steps, _IG_BATCH):
+        _, grads = value_and_grad(baseline + alphas[lo : lo + _IG_BATCH, None, None] * delta)
+        grad_total += grads.sum(axis=0)
     return delta * grad_total / steps
 
 
@@ -414,7 +443,8 @@ def build_report(
 
     names = dataset.column_names
     candidates = [c for c in range(dataset.n_columns) if c not in dataset.target_columns]
-    ablation_scores = feature_ablation(model, dataset, channels=candidates, split=split)
+    errors = _SplitErrors(model, dataset, split)
+    ablation_scores = errors.ablation(candidates)
     ig_per_channel = attribution.mean(axis=0)
 
     agreement = None
@@ -432,8 +462,8 @@ def build_report(
         attribution_map=attribution,
         feature_importance_ablation={names[c]: float(ablation_scores[c]) for c in candidates},
         feature_importance_ig={names[c]: float(ig_per_channel[c]) for c in candidates},
-        sufficiency={r: sufficiency(model, dataset, saliency, r, split) for r in ratios},
-        comprehensiveness={r: comprehensiveness(model, dataset, saliency, r, split) for r in ratios},
+        sufficiency={r: errors.masked(saliency, r, "keep") for r in ratios},
+        comprehensiveness={r: errors.masked(saliency, r, "remove") for r in ratios},
         agreement=agreement,
     )
 

@@ -258,9 +258,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _result(data: np.ndarray, inputs: Sequence[Tensor], context: str) -> tuple[Tensor, "Tape | None"]:
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
-    if not np.all(np.isfinite(out.data)):
-        raise NonFiniteError(f"non-finite values produced by {context}")
+    try:
+        out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
+    except NonFiniteError:
+        raise NonFiniteError(f"non-finite values produced by {context}") from None
     tape = active_tape() if out.requires_grad else None
     return out, tape
 

@@ -46,6 +46,13 @@ def test_gen_rerun_is_byte_identical(gen_dir, tmp_path):
         assert (tmp_path / name).read_bytes() == (gen_dir / name).read_bytes()
 
 
+def test_gen_seed_zero_is_not_the_default_seed(gen_dir, tmp_path):
+    assert run("gen", "--dataset", "SYN1", "--samples", "400", "--seed", "0",
+               "--lookback", "32", "--out", tmp_path) == 0
+    assert (tmp_path / "SYN1.csv").read_bytes() != (gen_dir / "SYN1.csv").read_bytes()
+    assert json.loads((tmp_path / "resolved_config.json").read_text())["seed"] == 0
+
+
 def test_gen_syn8_sidecar_is_union(tmp_path):
     assert run("gen", "--dataset", "SYN8", "--samples", "200", "--out", tmp_path) == 0
     sidecar = json.loads((tmp_path / "SYN8.json").read_text())

@@ -29,6 +29,7 @@ from crossscalenet.explain import (
 )
 from crossscalenet.model import CrossScaleNet, ModelConfig
 from crossscalenet.synthgen import SaliencyTruth, builtin_spec, generate_dataset, ground_truth_mask
+from crossscalenet.tensor import Tape
 from crossscalenet.train import TrainConfig, train
 
 RNG = np.random.default_rng(53)
@@ -206,6 +207,22 @@ def test_perturb_validation():
         perturb(window, np.ones(5), "keep")
     with pytest.raises(ValueError):
         perturb(window, np.ones(4), "smear")
+    stack = RNG.normal(size=(3, 4, 2))
+    with pytest.raises(ValueError):
+        perturb(stack, np.ones(4), "smear")
+    with pytest.raises(ValueError):
+        perturb(stack, np.ones(5), "remove")
+    with pytest.raises(ValueError):
+        perturb(stack, np.ones((3, 4, 2)), "keep")
+
+
+def test_perturb_stack_matches_single_windows():
+    stack = RNG.normal(size=(5, 8, 3))
+    mask = (RNG.uniform(size=8) > 0.5).astype(float)
+    for mode in ("keep", "remove"):
+        batched = perturb(stack, mask, mode)
+        for b in range(len(stack)):
+            assert np.array_equal(batched[b], perturb(stack[b], mask, mode))
 
 
 def test_sufficiency_endpoints(trained_setup):
@@ -277,7 +294,7 @@ def test_ablation_deterministic(trained_setup):
 
 def linear_value_and_grad(weights):
     def f(x):
-        return float((weights * x).sum()), weights.copy()
+        return float((weights * x).sum()), np.broadcast_to(weights, x.shape).copy()
 
     return f
 
@@ -291,7 +308,7 @@ def test_ig_zero_at_baseline():
     assert np.allclose(attribution, 0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("steps", [1, 4, 64])
+@pytest.mark.parametrize("steps", [1, 4, 64, 300])
 def test_ig_exact_for_linear_model(steps):
     w = RNG.normal(size=(5, 3))
     window = RNG.normal(size=(5, 3))
@@ -310,6 +327,19 @@ def test_ig_completeness_on_trained_model(trained_setup):
     delta = f(window)[0] - f(baseline)[0]
     assert abs(attribution.sum() - delta) <= 0.02 * max(abs(delta), 1e-9), (
         f"completeness gap {attribution.sum() - delta:.3e} vs delta {delta:.3e}")
+
+
+def test_stacked_gradient_matches_per_window(trained_setup):
+    model, ds = trained_setup
+    x, _ = ds.windows("test")
+    stack = x[[0, len(x) // 2, len(x) - 1]]
+    f = target_sum_grad_fn(model, ds.target_columns)
+    total, grads = f(stack)
+    assert grads.shape == stack.shape
+    singles = [f(window) for window in stack]
+    assert abs(total - sum(v for v, _ in singles)) <= 1e-12 * max(1.0, abs(total))
+    for k, (_, grad) in enumerate(singles):
+        assert np.allclose(grads[k], grad, rtol=0.0, atol=1e-12)
 
 
 def test_ig_steps_validation():
@@ -350,6 +380,32 @@ def test_build_report_and_files(tmp_path, trained_setup):
     assert payload["agreement"]["k"] == 15
     assert set(payload["sufficiency"]) == {"0.1", "0.2", "0.5"}
     assert len(payload["saliency"]) == DESK["lookback"]
+
+
+def test_build_report_shares_baselines_and_tapes(monkeypatch, trained_setup):
+    model, ds = trained_setup
+    calls = {"predict": 0, "backward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(CrossScaleNet, "predict", counted("predict", CrossScaleNet.predict))
+    monkeypatch.setattr(Tape, "backward", counted("backward", Tape.backward))
+    report = build_report(model, ds)
+    monkeypatch.undo()
+
+    # 1 intact + 1 blank + 3 keep + 3 remove + 6 ablated channels; one tape per IG window
+    assert calls == {"predict": 14, "backward": 16}
+    for r in report.ratios:
+        assert report.sufficiency[r] == sufficiency(model, ds, report.saliency, r)
+        assert report.comprehensiveness[r] == comprehensiveness(model, ds, report.saliency, r)
+    ablation = feature_ablation(model, ds)
+    names = ds.column_names
+    assert report.feature_importance_ablation == {names[c]: v for c, v in ablation.items()}
 
 
 def test_report_without_truth_has_no_agreement(trained_setup):

@@ -213,6 +213,11 @@ def test_non_finite_input_rejected():
         sqrt(Tensor([-1.0]))
 
 
+def test_non_finite_op_output_names_the_op():
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="mul"):
+        mul(Tensor([1e200]), Tensor([1e200]))
+
+
 # ---------------------------------------------------------------------------
 # tape mechanics
 
