@@ -13,7 +13,7 @@ from .explain import (
     saliency_agreement,
     sufficiency,
 )
-from .model import CrossScaleNet, CrossScaleNetParams, ModelConfig, capture_attention
+from .model import CrossScaleNet, CrossScaleNetParams, ModelConfig
 from .synthgen import SaliencyTruth, SynthSpec, builtin_spec, generate_dataset, ground_truth_mask
 from .tensor import GradCheckReport, Tape, Tensor, grad_check
 from .train import Metrics, TrainConfig, evaluate, train
@@ -40,7 +40,6 @@ __all__ = [
     "aggregate_saliency",
     "build_report",
     "builtin_spec",
-    "capture_attention",
     "comprehensiveness",
     "cross_patch_attention",
     "dataset_from_csv",

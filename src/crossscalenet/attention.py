@@ -109,6 +109,11 @@ class AttentionRecord:
     stores the full sequence attention as patch_weights with patch_len 1
     and all-ones local_weights, so downstream aggregation needs no special
     case.
+
+    A forward pass returns one row per window. ``explain.collect_records``
+    returns B = 1 records holding the mean over all windows; a mean of
+    row-stochastic matrices is row-stochastic, so ``validate`` applies to
+    both.
     """
 
     patch_weights: np.ndarray
@@ -124,35 +129,6 @@ class AttentionRecord:
             rows = w.sum(axis=-1)
             if not np.allclose(rows, 1.0, atol=tol):
                 raise ValueError(f"{name}: rows do not sum to 1 (max dev {np.abs(rows - 1).max():.2e})")
-
-    def batch_mean(self) -> "AttentionRecord":
-        return AttentionRecord(
-            patch_weights=self.patch_weights.mean(axis=0, keepdims=True),
-            local_weights=self.local_weights.mean(axis=0, keepdims=True),
-            scale_index=self.scale_index,
-            patch_len=self.patch_len,
-            seq_len=self.seq_len,
-        )
-
-    def save(self, path) -> None:
-        np.savez(
-            path,
-            patch_weights=self.patch_weights,
-            local_weights=self.local_weights,
-            meta=np.array([self.scale_index, self.patch_len, self.seq_len], dtype=np.int64),
-        )
-
-    @classmethod
-    def load(cls, path) -> "AttentionRecord":
-        with np.load(path) as data:
-            scale_index, patch_len, seq_len = (int(v) for v in data["meta"])
-            return cls(
-                patch_weights=data["patch_weights"].copy(),
-                local_weights=data["local_weights"].copy(),
-                scale_index=scale_index,
-                patch_len=patch_len,
-                seq_len=seq_len,
-            )
 
 
 def _check_aligned(x_query: Tensor, x_key: Tensor, who: str) -> None:

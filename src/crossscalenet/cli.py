@@ -32,7 +32,8 @@ from .synthgen import (
     ground_truth_mask,
     load_mask,
 )
-from .train import TrainConfig, evaluate, train, write_history_csv
+from .tensor import NonFiniteError
+from .train import TrainConfig, TrainingDiverged, evaluate, train, write_history_csv
 
 DEFAULT_SEED = 42
 
@@ -41,23 +42,34 @@ def _out_root() -> str:
     return os.environ.get("CROSSSCALENET_OUT", "runs")
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge JSON config file and flags; explicit flags win."""
+def _resolve(args: argparse.Namespace, explicit: set[str]) -> dict:
+    """Merge JSON config file and flags; flags given on the command line win."""
     resolved = {k: v for k, v in vars(args).items()
                 if k not in ("func", "config", "subparser", "command")}
     config_path = getattr(args, "config", None)
     if config_path:
         file_values = json.loads(Path(config_path).read_text())
-        defaults = {a.dest: a.default for a in parser._actions}
         for key, value in file_values.items():
             if key not in resolved:
                 raise SystemExit(f"unknown config key {key!r} in {config_path}")
-            # a flag left at its default yields to the config file
-            if resolved[key] == defaults.get(key):
+            if key not in explicit:
                 resolved[key] = value
     # a config file may set "seed": null; 0 is a seed like any other
     resolved["seed"] = DEFAULT_SEED if resolved.get("seed") is None else int(resolved["seed"])
     return resolved
+
+
+def _explicit_flags(args: argparse.Namespace, argv: list[str]) -> set[str]:
+    """Destinations of the flags given on the command line, even at their default.
+
+    Re-parses the subcommand's arguments into a namespace that already holds
+    a marker for every destination, so argparse fills in no defaults.
+    """
+    unset = object()
+    given = args.subparser.parse_args(
+        argv[argv.index(args.command) + 1 :], argparse.Namespace(**{k: unset for k in vars(args)})
+    )
+    return {k for k, v in vars(given).items() if v is not unset}
 
 
 def _write_snapshot(out_dir: Path, command: str, resolved: dict) -> None:
@@ -84,8 +96,8 @@ def _load_spec(resolved: dict) -> SynthSpec:
     return builtin_spec(name, n_samples=resolved["samples"] or 10_000, seed=resolved["seed"])
 
 
-def cmd_gen(args, parser) -> int:
-    resolved = _resolve(args, parser)
+def cmd_gen(args, explicit: set[str]) -> int:
+    resolved = _resolve(args, explicit)
     spec = _load_spec(resolved)
     out = _prepare_out(resolved["out"] or Path(_out_root()) / f"gen_{spec.name}")
 
@@ -116,8 +128,8 @@ def _dataset_for(resolved: dict):
     )
 
 
-def cmd_train(args, parser) -> int:
-    resolved = _resolve(args, parser)
+def cmd_train(args, explicit: set[str]) -> int:
+    resolved = _resolve(args, explicit)
     dataset, data_ref = _dataset_for(resolved)
 
     model_config = ModelConfig(
@@ -156,21 +168,14 @@ def cmd_train(args, parser) -> int:
     return 0
 
 
-def cmd_explain(args, parser) -> int:
-    resolved = _resolve(args, parser)
+def cmd_explain(args, explicit: set[str]) -> int:
+    resolved = _resolve(args, explicit)
     model, extra = CrossScaleNet.load(resolved["checkpoint"])
     lookback, horizon = model.config.lookback, model.config.horizon
 
-    data = resolved["data"]
-    if data in BUILTIN_NAMES:
-        spec = builtin_spec(data, seed=int(extra.get("train_seed", resolved["seed"])))
-        features, target = generate_dataset(spec)
-        dataset = make_windows(
-            np.column_stack([features, target]), lookback, horizon,
-            column_names=[f"feat_{j}" for j in range(features.shape[1])] + ["target"],
-        )
-    else:
-        dataset = dataset_from_csv(data, lookback, horizon, target=resolved.get("target"))
+    # a builtin dataset is regenerated with the seed it was trained on
+    dataset, _ = _dataset_for({**resolved, "lookback": lookback, "horizon": horizon,
+                               "seed": int(extra.get("train_seed", resolved["seed"]))})
     if dataset.n_columns != model.config.n_features:
         raise SystemExit(
             f"checkpoint expects {model.config.n_features} columns, data has {dataset.n_columns}"
@@ -194,8 +199,8 @@ def cmd_explain(args, parser) -> int:
     return 0
 
 
-def cmd_ablation(args, parser) -> int:
-    resolved = _resolve(args, parser)
+def cmd_ablation(args, explicit: set[str]) -> int:
+    resolved = _resolve(args, explicit)
     datasets = resolved["datasets"].split(",")
     variants = resolved["variants"].split(",")
     seeds = [int(s) for s in resolved["seeds"].split(",")]
@@ -218,7 +223,7 @@ def cmd_ablation(args, parser) -> int:
                         no_instance_norm=resolved["no_instance_norm"], seed=seed,
                         target=None, out=str(run_dir), config=None,
                     )
-                    cmd_train(sub, _train_parser())
+                    cmd_train(sub, set(vars(sub)))
                     metrics = json.loads((run_dir / "metrics.json").read_text())
                     per_seed.append((metrics["mse"], metrics["mae"]))
                 except Exception as exc:  # keep sweeping, record the failure
@@ -265,18 +270,6 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--no-instance-norm", action="store_true", dest="no_instance_norm")
-
-
-def _train_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="crossscalenet train")
-    p.add_argument("--data", required=True)
-    p.add_argument("--variant", default="cross_dual_key")
-    p.add_argument("--target", default=None)
-    _add_common_train_flags(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,13 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        # the handler gets its own subparser so the config-file merge can
-        # see which flags were left at their defaults
-        return args.func(args, args.subparser)
-    except (ValueError, FileNotFoundError) as exc:
+        return args.func(args, _explicit_flags(args, argv))
+    except (ValueError, FileNotFoundError, NonFiniteError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

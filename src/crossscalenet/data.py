@@ -122,13 +122,19 @@ def make_windows(
 
 
 def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
-    """Generic numeric CSV with one header row."""
+    """Generic numeric CSV with one header row; NaN and Inf cells are rejected."""
     path = Path(path)
     with open(path, newline="") as fh:
         header = next(csv.reader(fh))
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: header has {len(header)} columns, data has {data.shape[1]}")
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(
+            f"{path}: non-finite value {data[row, col]} in data row {row + 1}, column {header[col]!r}"
+        )
     return header, data
 
 

@@ -95,28 +95,40 @@ def collect_records(
     batch_size: int = 256,
     max_windows: int | None = None,
 ) -> list[AttentionRecord]:
-    """Forward a stack of windows and concatenate attention records per scale."""
+    """Forward a stack of windows in batches and average the attention per scale.
+
+    Returns one record per scale >= 2 with B = 1: its patch and local
+    weights are the mean over all windows. Only a running per-scale sum is
+    kept between batches, so memory is bounded by one batch, not by the
+    number of windows. A mean of row-stochastic matrices is row-stochastic,
+    so the records still ``validate()``. No windows give no records.
+    """
     if max_windows is not None:
         windows = windows[:max_windows]
-    per_scale: dict[int, list[AttentionRecord]] = {}
+    totals: dict[int, AttentionRecord] = {}
     with suspend_tape():
         for lo in range(0, len(windows), batch_size):
-            _, outputs = model.forward(Tensor(windows[lo : lo + batch_size]))
-            for record in outputs.records:
-                per_scale.setdefault(record.scale_index, []).append(record)
-    merged = []
-    for scale_index in sorted(per_scale):
-        parts = per_scale[scale_index]
-        merged.append(
-            AttentionRecord(
-                patch_weights=np.concatenate([r.patch_weights for r in parts], axis=0),
-                local_weights=np.concatenate([r.local_weights for r in parts], axis=0),
-                scale_index=scale_index,
-                patch_len=parts[0].patch_len,
-                seq_len=parts[0].seq_len,
-            )
-        )
-    return merged
+            # the comprehension's scope ends with it, so no name keeps this
+            # batch's outputs alive through the next forward
+            sums = [
+                AttentionRecord(
+                    patch_weights=r.patch_weights.sum(axis=0, keepdims=True),
+                    local_weights=r.local_weights.sum(axis=0, keepdims=True),
+                    scale_index=r.scale_index,
+                    patch_len=r.patch_len,
+                    seq_len=r.seq_len,
+                )
+                for r in model.forward(Tensor(windows[lo : lo + batch_size]))[1].records
+            ]
+            for part in sums:
+                total = totals.setdefault(part.scale_index, part)
+                if total is not part:
+                    total.patch_weights += part.patch_weights
+                    total.local_weights += part.local_weights
+    for total in totals.values():
+        total.patch_weights /= len(windows)
+        total.local_weights /= len(windows)
+    return [totals[k] for k in sorted(totals)]
 
 
 def model_saliency(model: CrossScaleNet, dataset: WindowDataset, split: str = "test") -> SaliencyVector:

@@ -321,13 +321,6 @@ def model_forward(
     return forecast, outputs
 
 
-def capture_attention(outputs: ScaleOutputs, batch_mean: bool = False) -> list[AttentionRecord]:
-    """Attention records for scales 2..M, optionally averaged over the batch."""
-    if batch_mean:
-        return [r.batch_mean() for r in outputs.records]
-    return list(outputs.records)
-
-
 # ---------------------------------------------------------------------------
 # model facade
 
@@ -351,8 +344,10 @@ class CrossScaleNet:
         chunks = []
         with suspend_tape():
             for lo in range(0, x.shape[0], batch_size):
-                forecast, _ = self.forward(Tensor(x[lo : lo + batch_size]))
-                chunks.append(forecast.data)
+                # index, not unpack: a bound ScaleOutputs would keep this
+                # chunk's per-scale forecasts and attention maps alive
+                # through the next chunk's forward
+                chunks.append(self.forward(Tensor(x[lo : lo + batch_size]))[0].data)
         out = np.concatenate(chunks, axis=0)
         return out[0] if single else out
 
@@ -396,21 +391,25 @@ def save_checkpoint(path, config: ModelConfig, params: CrossScaleNetParams, extr
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, CrossScaleNetParams, dict]:
-    with zipfile.ZipFile(path, "r") as zf:
-        header = json.loads(zf.read("config.json"))
-        config = ModelConfig(**header["model"])
-        params = init_params(config, seed=0)
-        expected = {name: tuple(t.shape) for name, t in params.named_tensors()}
-        declared = {name: tuple(shape) for name, shape in header["tensors"].items()}
-        if expected != declared:
-            missing = sorted(set(expected) ^ set(declared))
-            mismatched = sorted(
-                n for n in set(expected) & set(declared) if expected[n] != declared[n]
-            )
-            raise ValueError(
-                f"checkpoint does not match config (missing/extra: {missing}, wrong shape: {mismatched})"
-            )
-        for name, t in params.named_tensors():
-            raw = zf.read(f"tensors/{name}")
-            t.data = np.frombuffer(raw, dtype="<f8").reshape(expected[name]).copy()
-        return config, params, dict(header["extra"])
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            header = json.loads(zf.read("config.json"))
+            config = ModelConfig(**header["model"])
+            params = init_params(config, seed=0)
+            expected = {name: tuple(t.shape) for name, t in params.named_tensors()}
+            declared = {name: tuple(shape) for name, shape in header["tensors"].items()}
+            if expected != declared:
+                missing = sorted(set(expected) ^ set(declared))
+                mismatched = sorted(
+                    n for n in set(expected) & set(declared) if expected[n] != declared[n]
+                )
+                raise ValueError(
+                    f"checkpoint does not match config (missing/extra: {missing}, wrong shape: {mismatched})"
+                )
+            for name, t in params.named_tensors():
+                raw = zf.read(f"tensors/{name}")
+                t.data = np.frombuffer(raw, dtype="<f8").reshape(expected[name]).copy()
+            return config, params, dict(header["extra"])
+    except (zipfile.BadZipFile, KeyError) as exc:
+        # not a zip archive, or one without config.json or a tensor member
+        raise ValueError(f"{path}: corrupt checkpoint archive ({type(exc).__name__}: {exc.args[0]})") from exc

@@ -357,13 +357,17 @@ def matmul(a, b) -> Tensor:
 
 
 def softmax_lastdim(x) -> Tensor:
-    """Row-stable softmax along the last axis (max-subtraction)."""
+    """Row-stable softmax along the last axis (max-subtraction).
+
+    Exponentiates and normalizes in place on one temporary, so a (B, T, T)
+    input costs one extra T x T array instead of three.
+    """
     x = _as_tensor(x)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError("softmax_lastdim: empty last axis")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out, tape = _result(s, (x,), "softmax_lastdim")
     if tape is not None:
 

@@ -1,11 +1,13 @@
 """End-to-end CLI runs on miniature configurations."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
 from crossscalenet.cli import main
+from crossscalenet.model import CrossScaleNet
 
 FAST_TRAIN = ["--lookback", "32", "--horizon", "8", "--scales", "2", "--patch", "8",
               "--hidden", "8", "--epochs", "1", "--batch", "16"]
@@ -184,3 +186,64 @@ def test_config_file_unknown_key_fails(gen_dir, tmp_path):
     with pytest.raises(SystemExit):
         run("train", "--data", gen_dir / "SYN1.csv", *FAST_TRAIN,
             "--config", config, "--out", tmp_path / "x")
+
+
+def test_flag_at_its_default_still_beats_config(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lookback": 48}))
+    assert run("gen", "--dataset", "SYN1", "--samples", "200", "--lookback", "96",
+               "--config", config, "--out", tmp_path / "out") == 0
+    mask = np.loadtxt(tmp_path / "out" / "SYN1_mask.csv", delimiter=",", ndmin=2)
+    assert mask.shape[0] == 96
+    assert json.loads((tmp_path / "out" / "resolved_config.json").read_text())["lookback"] == 96
+
+
+def one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def test_nan_cell_fails_at_the_csv_boundary(gen_dir, tmp_path, capsys):
+    rows = (gen_dir / "SYN1.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    cells = rows[5].split(",")
+    cells[2] = "nan"
+    rows[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    assert run("train", "--data", bad, *FAST_TRAIN, "--out", tmp_path / "x") == 2
+    line = one_error_line(capsys)
+    assert "bad.csv" in line and "data row 5" in line and repr(header[2]) in line
+    assert not (tmp_path / "x").exists()
+
+
+def test_diverged_training_exits_2(gen_dir, tmp_path, capsys):
+    assert run("train", "--data", gen_dir / "SYN1.csv", *FAST_TRAIN, "--lr", "1e200",
+               "--out", tmp_path / "x") == 2
+    line = one_error_line(capsys)
+    assert "epoch 0" in line and "lr=1e+200" in line
+
+
+def test_non_finite_checkpoint_weights_exit_2(gen_dir, train_dir, tmp_path, capsys):
+    model, extra = CrossScaleNet.load(train_dir / "model.ckpt")
+    model.params.fusion_weight.data[0, 0] = np.inf
+    model.save(tmp_path / "inf.ckpt", extra=extra)
+    assert run("explain", "--checkpoint", tmp_path / "inf.ckpt", "--data", gen_dir / "SYN1.csv",
+               "--ig-steps", "2", "--ig-windows", "1", "--out", tmp_path / "x") == 2
+    assert "non-finite" in one_error_line(capsys)
+
+
+def test_corrupt_checkpoint_archive_exits_2(gen_dir, train_dir, tmp_path, capsys):
+    not_zip = tmp_path / "not_zip.ckpt"
+    not_zip.write_bytes(b"definitely not a zip archive")
+    missing = tmp_path / "missing.ckpt"
+    with zipfile.ZipFile(train_dir / "model.ckpt") as src, zipfile.ZipFile(missing, "w") as dst:
+        for item in src.infolist():
+            if item.filename != "tensors/fusion.weight":
+                dst.writestr(item, src.read(item.filename))
+    for ckpt, kind in ((not_zip, "BadZipFile"), (missing, "tensors/fusion.weight")):
+        assert run("explain", "--checkpoint", ckpt, "--data", gen_dir / "SYN1.csv",
+                   "--out", tmp_path / "x") == 2
+        line = one_error_line(capsys)
+        assert ckpt.name in line and kind in line

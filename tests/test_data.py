@@ -109,3 +109,11 @@ def test_windows_cached_and_stable():
     x1, y1 = ds.windows("val")
     x2, y2 = ds.windows("val")
     assert x1 is x2 and y1 is y2
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_read_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "series.csv"
+    path.write_text(f"a,b,c\n1,2,3\n4,5,6\n7,{cell},9\n")
+    with pytest.raises(ValueError, match=r"series\.csv: non-finite value .* in data row 3, column 'b'"):
+        read_csv_matrix(path)

@@ -1,11 +1,12 @@
 """Saliency aggregation oracle, agreement metrics, perturbation battery, IG."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crossscalenet.attention import AttentionRecord
+from crossscalenet.attention import VARIANTS, AttentionRecord
 from crossscalenet.data import make_windows
 from crossscalenet.explain import (
     AgreementScores,
@@ -140,6 +141,53 @@ def test_self_attention_records_aggregate_without_special_case():
     s = aggregate_saliency(records, DESK["lookback"])
     assert s.values.shape == (DESK["lookback"],)
     assert s.values.max() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_collect_records_streams_the_window_mean(variant):
+    cfg = ModelConfig(**{**DESK, "n_scales": 3, "patch_len": 4, "decomp_kernel": 5, "variant": variant})
+    model = CrossScaleNet(cfg, seed=6)
+    x = RNG.normal(size=(20, DESK["lookback"], DESK["n_features"]))
+    per_window = [model.forward(x[i : i + 1])[1].records for i in range(len(x))]
+    for batch_size in (1, 7, 256):  # 7 leaves a ragged last batch of 6
+        records = collect_records(model, x, batch_size=batch_size)
+        assert [r.scale_index for r in records] == [2, 3]
+        for m, record in enumerate(records):
+            parts = [rs[m] for rs in per_window]
+            patch = np.concatenate([r.patch_weights for r in parts]).mean(axis=0, keepdims=True)
+            local = np.concatenate([r.local_weights for r in parts]).mean(axis=0, keepdims=True)
+            assert record.patch_weights.shape == patch.shape and record.patch_weights.shape[0] == 1
+            assert record.local_weights.shape == local.shape
+            np.testing.assert_allclose(record.patch_weights, patch, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(record.local_weights, local, rtol=0, atol=1e-15)
+            assert (record.patch_len, record.seq_len) == (parts[0].patch_len, parts[0].seq_len)
+            record.validate()
+    assert collect_records(model, x[:0]) == []
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", ["self_attention", "cross_dual_key"])
+def test_inference_memory_is_bounded_by_one_batch(variant):
+    cfg = ModelConfig(lookback=96, horizon=16, n_features=7, n_scales=3, patch_len=16, variant=variant)
+    model = CrossScaleNet(cfg, seed=7)
+    x = RNG.normal(size=(8 * 32, 96, 7))
+    model.predict(x[:32], batch_size=32)  # warm-up outside the trace
+    calls = {
+        "predict": lambda n: model.predict(x[:n], batch_size=32),
+        "collect_records": lambda n: collect_records(model, x[:n], batch_size=32),
+    }
+    for name, call in calls.items():
+        one = _traced_peak(lambda: call(32))
+        eight = _traced_peak(lambda: call(8 * 32))
+        assert eight / one <= 1.2, f"{name}: peak {eight} B over 8 batches vs {one} B over 1"
 
 
 # ---------------------------------------------------------------------------

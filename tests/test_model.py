@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from crossscalenet.attention import AttentionRecord
 from crossscalenet.model import (
     CrossScaleNet,
     CrossScaleNetParams,
     ModelConfig,
-    capture_attention,
     decompose,
     encoder_forward,
     init_params,
@@ -411,32 +409,7 @@ def test_model_gradients_pass_grad_check():
 
 
 # ---------------------------------------------------------------------------
-# capture and checkpoints
-
-
-def test_capture_attention_and_batch_mean():
-    cfg = small_config()
-    model = CrossScaleNet(cfg, seed=17)
-    _, outputs = model.forward(RNG.normal(size=(5, 16, 2)))
-    records = capture_attention(outputs)
-    assert len(records) == 1
-    averaged = capture_attention(outputs, batch_mean=True)[0]
-    assert averaged.patch_weights.shape[0] == 1
-    averaged.validate(tol=1e-6)
-
-
-def test_record_export_roundtrip(tmp_path):
-    cfg = small_config()
-    model = CrossScaleNet(cfg, seed=18)
-    _, outputs = model.forward(RNG.normal(size=(2, 16, 2)))
-    record = outputs.records[0]
-    path = tmp_path / "record.npz"
-    record.save(path)
-    loaded = AttentionRecord.load(path)
-    assert np.array_equal(loaded.patch_weights, record.patch_weights)
-    assert np.array_equal(loaded.local_weights, record.local_weights)
-    assert (loaded.scale_index, loaded.patch_len, loaded.seq_len) == (
-        record.scale_index, record.patch_len, record.seq_len)
+# checkpoints
 
 
 def test_checkpoint_roundtrip_and_validation(tmp_path):

@@ -110,6 +110,23 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     assert np.allclose(s, shifted, atol=1e-9)
 
 
+def _three_array_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def test_softmax_in_place_is_bit_identical_to_three_array_form():
+    rng = np.random.default_rng(11)
+    extremes = rng.uniform(-700.0, 700.0, size=(4, 9, 9))  # exp underflows on most entries
+    extremes[0] = 700.0 - rng.uniform(0.0, 1.0, size=(9, 9))
+    extremes[1] = -700.0 + rng.uniform(0.0, 1.0, size=(9, 9))
+    for x in (rng.normal(0.0, 4.0, size=(5, 17, 17)), rng.normal(size=(2, 3)), extremes):
+        assert np.array_equal(softmax_lastdim(Tensor(x)).data, _three_array_softmax(x))
+    report = grad_check(_weighted(softmax_lastdim, _const(3, 4)), rand(2, 3, 4), eps=1e-5, tol=1e-4)
+    assert report.passed, str(report)
+
+
 def test_softmax_empty_axis_errors():
     with pytest.raises(ShapeError):
         softmax_lastdim(Tensor(np.zeros((2, 0))))
