@@ -26,7 +26,6 @@ import numpy as np
 from .tensor import (
     ShapeError,
     Tensor,
-    broadcast_to,
     matmul,
     mean_axis,
     patchify,
@@ -131,62 +130,48 @@ class AttentionRecord:
                 raise ValueError(f"{name}: rows do not sum to 1 (max dev {np.abs(rows - 1).max():.2e})")
 
 
-def _check_aligned(x_query: Tensor, x_key: Tensor, who: str) -> None:
-    if x_query.ndim != 3 or x_key.ndim != 3:
-        raise ShapeError(f"{who} expects (B, T, D) inputs")
-    if x_query.shape != x_key.shape:
-        raise ShapeError(f"{who}: query {x_query.shape} and key {x_key.shape} sources differ")
+def _check_aligned(query: Tensor, key: Tensor, ndim: int, who: str) -> None:
+    if query.ndim != ndim or key.ndim != ndim:
+        raise ShapeError(f"{who} expects {ndim}-d inputs, got {query.shape} and {key.shape}")
+    if query.shape != key.shape:
+        raise ShapeError(f"{who}: query {query.shape} and key {key.shape} sources differ")
 
 
 def patch_attention(
-    x_query: Tensor, x_key: Tensor, weights: AttentionWeights, patch_len: int
+    patches_q: Tensor, patches_k: Tensor, weights: AttentionWeights
 ) -> tuple[Tensor, Tensor]:
     """Attention across mean-pooled patch summaries.
 
-    Both streams are patchified, mean-pooled over the patch axis, and
-    projected; values are pooled from the query stream. Returns the patch
-    context broadcast back over each patch's P positions, shape
-    (B, N, P, D), plus the (B, N, N) attention weights.
+    Takes (B, N, P, D) query and key patches (see ``patchify``). Both are
+    mean-pooled over the patch axis and projected; values ride the pooled
+    query stream. Returns one context vector per patch, (B, N, D), and
+    the (B, N, N) attention weights.
     """
-    _check_aligned(x_query, x_key, "patch_attention")
-    dim = x_query.shape[-1]
-    scale = 1.0 / np.sqrt(dim)
+    _check_aligned(patches_q, patches_k, 4, "patch_attention")
+    scale = 1.0 / np.sqrt(patches_q.shape[-1])
 
-    patches_q = patchify(x_query, patch_len)
-    patches_k = patchify(x_key, patch_len)
-    pooled_q = mean_axis(patches_q, 2)  # (B, N, D)
-    pooled_k = mean_axis(patches_k, 2)
-    pooled_v = mean_axis(patches_q, 2)  # values ride the query stream
-
+    pooled_q = mean_axis(patches_q, 2)  # (B, N, D), also the values
     q = matmul(pooled_q, weights.w_query)
-    k = matmul(pooled_k, weights.w_key)
-    v = matmul(pooled_v, weights.w_value)
+    k = matmul(mean_axis(patches_k, 2), weights.w_key)
+    v = matmul(pooled_q, weights.w_value)
 
     attn = softmax_lastdim(matmul(q, swap_last2(k)) * scale)  # (B, N, N)
-    context = matmul(attn, v)  # (B, N, D)
-
-    b, n, _ = context.shape
-    p = patches_q.shape[2]
-    context = broadcast_to(reshape(context, (b, n, 1, dim)), (b, n, p, dim))
-    return context, attn
+    return matmul(attn, v), attn
 
 
 def local_attention(
-    x_query: Tensor, x_key: Tensor, weights: AttentionWeights, patch_len: int
+    patches_q: Tensor, patches_k: Tensor, weights: AttentionWeights
 ) -> tuple[Tensor, Tensor]:
     """Attention among the P time steps inside each patch.
 
-    Queries and values come from the query stream's patches, keys from the
-    key stream's patches. Returns the local context (B, N, P, D) and the
+    Takes (B, N, P, D) query and key patches; queries and values come from
+    the query patches. Returns the local context (B, N, P, D) and the
     (B, N, P, P) attention weights.
     """
-    _check_aligned(x_query, x_key, "local_attention")
-    dim = x_query.shape[-1]
+    _check_aligned(patches_q, patches_k, 4, "local_attention")
+    b, n, p, dim = patches_q.shape
     scale = 1.0 / np.sqrt(dim)
 
-    patches_q = patchify(x_query, patch_len)
-    patches_k = patchify(x_key, patch_len)
-    b, n, p, _ = patches_q.shape
     flat_q = reshape(patches_q, (b * n, p, dim))
     flat_k = reshape(patches_k, (b * n, p, dim))
 
@@ -262,9 +247,17 @@ def cross_patch_attention(
     else:  # pragma: no cover - AttentionConfig already validates
         raise ValueError(f"unknown variant {config.variant!r}")
 
-    ctx_patch, attn_patch = patch_attention(x, patch_key, weights, config.patch_len)
-    ctx_local, attn_local = local_attention(x, local_key, weights, config.patch_len)
-    context = unpatchify(ctx_patch + ctx_local, seq_len)
+    _check_aligned(x, patch_key, 3, "cross_patch_attention")
+    _check_aligned(x, local_key, 3, "cross_patch_attention")
+    # patchify each distinct stream once; both paths share the query patches
+    patches_x = patchify(x, config.patch_len)
+    patches_pk = patches_x if patch_key is x else patchify(patch_key, config.patch_len)
+    patches_lk = patches_pk if local_key is patch_key else patchify(local_key, config.patch_len)
+    ctx_patch, attn_patch = patch_attention(patches_x, patches_pk, weights)
+    ctx_local, attn_local = local_attention(patches_x, patches_lk, weights)
+    n = patches_x.shape[1]
+    # the patch context broadcasts over each patch's P positions
+    context = unpatchify(ctx_local + reshape(ctx_patch, (b, n, 1, dim)), seq_len)
 
     record = AttentionRecord(
         patch_weights=attn_patch.data.copy(),

@@ -329,7 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _explicit_flags(args, argv))
+        # no numpy warnings: tensor._result names the op of a blowup in one NonFiniteError
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args, _explicit_flags(args, argv))
     except (ValueError, FileNotFoundError, NonFiniteError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -81,7 +81,7 @@ def make_windows(
     target_columns: list[int] | None = None,
     column_names: list[str] | None = None,
 ) -> WindowDataset:
-    """Chronological 70/10/20 (by default) split of the window-index space."""
+    """Chronological 70/10/20 (by default) split of the window-index space; NaN/Inf cells raise."""
     data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     if data.ndim != 2:
         raise ValueError(f"expected a (rows, columns) matrix, got shape {data.shape}")
@@ -110,6 +110,7 @@ def make_windows(
         raise ValueError(f"target columns {target_columns} out of range for {cols} columns")
     if column_names is None:
         column_names = [f"col_{i}" for i in range(cols)]
+    _reject_non_finite(data, column_names)
 
     return WindowDataset(
         raw=data,
@@ -129,13 +130,17 @@ def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: header has {len(header)} columns, data has {data.shape[1]}")
+    _reject_non_finite(data, header, f"{path}: ")
+    return header, data
+
+
+def _reject_non_finite(data: np.ndarray, column_names: list[str], source: str = "") -> None:
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
-        row, col = bad[0]
+        row, col = bad[0]  # reported 1-based, as a data row of the file
         raise ValueError(
-            f"{path}: non-finite value {data[row, col]} in data row {row + 1}, column {header[col]!r}"
+            f"{source}non-finite value {data[row, col]} in data row {row + 1}, column {column_names[col]!r}"
         )
-    return header, data
 
 
 def dataset_from_csv(

@@ -8,14 +8,22 @@ keys are the scale-1 forecast and its seasonal branch (interpolated to
 the scale's length). Scale outputs are gated by learnable sigmoid weights,
 concatenated along the horizon, and fused by a per-channel FC into the
 final forecast.
+
+Layout: the forward pass takes (B, T, D) windows and returns (B, H, D)
+forecasts, but keeps activations channels-first, (B, D, T), in between,
+since every temporal op acts on the last axis; attention keeps its
+(B, T, D) contract. Decomposition fold: trend is x @ M.T for a fixed
+moving-average matrix M and feeds only the encoders' first temporal FC,
+so each scale runs both encoders on its undecomposed input with first
+layers W_s = W1_s - M.T @ W1_s and W_t = M.T @ W1_t (tape matmuls, so
+gradients reach W1). ``decompose`` is the explicit reference.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +39,7 @@ from .tensor import (
     matmul,
     mean_axis,
     moving_average,
+    moving_average_matrix,
     reshape,
     sigmoid,
     sqrt,
@@ -159,11 +168,10 @@ class CrossScaleNetParams:
 
 @dataclass
 class ScaleOutputs:
-    """Per-scale forecasts and the attention records captured on the way."""
+    """Per-scale forecasts, channels-first (B, D, H), and the attention
+    records captured on the way."""
 
     predictions: list[Tensor] = field(default_factory=list)
-    seasonal_predictions: list[Tensor] = field(default_factory=list)
-    trend_predictions: list[Tensor] = field(default_factory=list)
     records: list[AttentionRecord] = field(default_factory=list)
 
 
@@ -212,21 +220,17 @@ def init_params(config: ModelConfig, seed: int = 0) -> CrossScaleNetParams:
 def decompose(x: Tensor, kernel: int) -> tuple[Tensor, Tensor]:
     """Split (B, T, D) into (seasonal, trend); trend is the centered moving
     average along time, seasonal the residual, so seasonal + trend == x."""
-    if kernel % 2 == 0:
-        raise ShapeError(f"decompose: kernel must be odd, got {kernel}")
     trend = swap_last2(moving_average(swap_last2(x), kernel))
     return x - trend, trend
 
 
 def encoder_forward(component: Tensor, weights: EncoderWeights) -> Tensor:
     """Temporal FC -> GELU -> temporal FC to horizon, then channel mixing
-    with a residual add. (B, T, D) -> (B, H, D)."""
-    h = swap_last2(component)                                   # (B, D, T)
-    h = matmul(h, weights.w_time1) + weights.b_time1
+    with a residual add. Channels-first: (B, D, T) -> (B, D, H)."""
+    h = matmul(component, weights.w_time1) + weights.b_time1
     h = gelu(h)
     h = matmul(h, weights.w_time2) + weights.b_time2            # (B, D, H)
-    h = swap_last2(h)                                           # (B, H, D)
-    return h + (matmul(h, weights.w_channel) + weights.b_channel)
+    return h + (matmul(swap_last2(weights.w_channel), h) + reshape(weights.b_channel, (-1, 1)))
 
 
 def scale_forward(
@@ -237,31 +241,34 @@ def scale_forward(
     params: CrossScaleNetParams,
     scale_index: int,
 ) -> tuple[Tensor, Tensor, Tensor, AttentionRecord | None]:
-    """One scale: attention refinement (scales >= 2), decomposition, encoders.
+    """One scale: attention refinement (scales >= 2), then the seasonal and
+    trend encoders with the decomposition folded into their first layer.
 
-    Returns (prediction, seasonal branch, trend branch, record or None).
+    Channels-first: the input and keys are (B, D, T_m), the three
+    forecasts (B, D, H). Returns (prediction, seasonal branch, trend
+    branch, record or None).
     """
     record = None
     if scale_index >= 2:
         if key_forecast is None:
             raise ShapeError(f"scale {scale_index} needs keys from scale 1")
         context, record = cross_patch_attention(
-            x_scale,
-            key_forecast,
-            key_seasonal,
+            swap_last2(x_scale),
+            swap_last2(key_forecast),
+            None if key_seasonal is None else swap_last2(key_seasonal),
             config.attention_config(),
             params.attention[scale_index - 1],
             scale_index=scale_index,
         )
-        x_scale = x_scale + context
-    seasonal, trend = decompose(x_scale, config.decomp_kernel)
-    y_seasonal = encoder_forward(seasonal, params.seasonal[scale_index - 1])
-    y_trend = encoder_forward(trend, params.trend[scale_index - 1])
+        x_scale = x_scale + swap_last2(context)
+    trend_map = Tensor(moving_average_matrix(x_scale.shape[-1], config.decomp_kernel).T)  # M.T
+    enc_s = params.seasonal[scale_index - 1]
+    enc_t = params.trend[scale_index - 1]
+    w_seasonal = enc_s.w_time1 - matmul(trend_map, enc_s.w_time1)
+    w_trend = matmul(trend_map, enc_t.w_time1)
+    y_seasonal = encoder_forward(x_scale, replace(enc_s, w_time1=w_seasonal))
+    y_trend = encoder_forward(x_scale, replace(enc_t, w_time1=w_trend))
     return y_seasonal + y_trend, y_seasonal, y_trend, record
-
-
-def _resample_time(x: Tensor, new_len: int) -> Tensor:
-    return swap_last2(linear_interp(swap_last2(x), new_len))
 
 
 def model_forward(
@@ -277,48 +284,36 @@ def model_forward(
     if not np.all(np.isfinite(x.data)):
         raise NonFiniteError("model input contains NaN/Inf")
 
-    batch = x.shape[0]
+    stats_shape = (x.shape[0], config.n_features, 1)
+    x_in = swap_last2(x)  # (B, D, T)
     if config.instance_norm:
-        mu = reshape(mean_axis(x, 1), (batch, 1, config.n_features))
-        centered = x - mu
-        var = reshape(mean_axis(centered * centered, 1), (batch, 1, config.n_features))
+        mu = reshape(mean_axis(x_in, 2), stats_shape)
+        centered = x_in - mu
+        var = reshape(mean_axis(centered * centered, 2), stats_shape)
         std = sqrt(var + INSTANCE_NORM_EPS)
         x_in = centered / std
-    else:
-        x_in = x
-
-    lengths = config.scale_lengths
-    scale_inputs = [x_in]
-    for m in range(2, config.n_scales + 1):
-        pooled = avg_downsample(swap_last2(x_in), 2 ** (m - 1))
-        scale_inputs.append(swap_last2(pooled))
 
     outputs = ScaleOutputs()
-    y1, y1_seasonal, y1_trend, _ = scale_forward(scale_inputs[0], None, None, config, params, 1)
+    y1, y1_seasonal, _, _ = scale_forward(x_in, None, None, config, params, 1)
     outputs.predictions.append(y1)
-    outputs.seasonal_predictions.append(y1_seasonal)
-    outputs.trend_predictions.append(y1_trend)
 
-    for m in range(2, config.n_scales + 1):
-        t_m = lengths[m - 1]
-        key_forecast = _resample_time(y1, t_m)
-        key_seasonal = _resample_time(y1_seasonal, t_m)
-        y_m, y_m_seasonal, y_m_trend, record = scale_forward(
-            scale_inputs[m - 1], key_forecast, key_seasonal, config, params, m
+    for m, t_m in enumerate(config.scale_lengths[1:], start=2):
+        y_m, _, _, record = scale_forward(
+            avg_downsample(x_in, 2 ** (m - 1)),
+            linear_interp(y1, t_m),
+            linear_interp(y1_seasonal, t_m),
+            config, params, m,
         )
         outputs.predictions.append(y_m)
-        outputs.seasonal_predictions.append(y_m_seasonal)
-        outputs.trend_predictions.append(y_m_trend)
         outputs.records.append(record)
 
     gated = [y * sigmoid(gate) for y, gate in zip(outputs.predictions, params.gate_logits)]
-    stacked = concat(gated, axis=1) if len(gated) > 1 else gated[0]  # (B, M*H, D)
-    fused = matmul(swap_last2(stacked), params.fusion_weight) + params.fusion_bias
-    forecast = swap_last2(fused)  # (B, H, D)
+    stacked = concat(gated, axis=2) if len(gated) > 1 else gated[0]  # (B, D, M*H)
+    forecast = matmul(stacked, params.fusion_weight) + params.fusion_bias  # (B, D, H)
 
     if config.instance_norm:
         forecast = forecast * std + mu
-    return forecast, outputs
+    return swap_last2(forecast), outputs
 
 
 # ---------------------------------------------------------------------------

@@ -573,7 +573,8 @@ def _downsample_matrix(length: int, factor: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _moving_average_matrix(length: int, kernel: int) -> np.ndarray:
+def moving_average_matrix(length: int, kernel: int) -> np.ndarray:
+    """(T, T) centered moving average with replicate padding: trend = x @ M.T."""
     half = (kernel - 1) // 2
     w = np.zeros((length, length))
     for row in range(length):
@@ -638,7 +639,7 @@ def moving_average(x, kernel: int) -> Tensor:
         raise ShapeError(f"moving_average: kernel must be odd, got {kernel}")
     if kernel < 1 or kernel > 2 * length - 1:
         raise ShapeError(f"moving_average: kernel {kernel} invalid for length {length}")
-    return _apply_time_linear(x, _moving_average_matrix(length, int(kernel)), "moving_average")
+    return _apply_time_linear(x, moving_average_matrix(length, int(kernel)), "moving_average")
 
 
 def linear_interp(x, new_len: int) -> Tensor:

@@ -14,7 +14,7 @@ from crossscalenet.attention import (
     local_attention,
     patch_attention,
 )
-from crossscalenet.tensor import ShapeError, Tape, Tensor, grad_check, sum_all
+from crossscalenet.tensor import ShapeError, Tape, Tensor, grad_check, patchify, sum_all
 
 RNG = np.random.default_rng(11)
 
@@ -156,7 +156,7 @@ def test_hand_computed_two_patch_attention():
     x = np.array([[[1.0], [3.0], [-1.0], [1.0]]])  # pooled: [2, 0]
     k = np.array([[[2.0], [2.0], [4.0], [0.0]]])  # pooled: [2, 2]
     w = identity_weights(1)
-    _, attn = patch_attention(Tensor(x), Tensor(k), w, 2)
+    _, attn = patch_attention(patchify(Tensor(x), 2), patchify(Tensor(k), 2), w)
     logits = np.array([[4.0, 4.0], [0.0, 0.0]])  # pooled_q[:,None]*pooled_k[None,:]/sqrt(1)
     expect = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     assert np.allclose(attn.data[0], expect, atol=1e-12)
@@ -170,7 +170,7 @@ def test_single_patch_attention_is_one():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 3, 2))
     w = make_weights(2, rng)
-    _, attn = patch_attention(Tensor(x), Tensor(rng.normal(size=(2, 3, 2))), w, 3)
+    _, attn = patch_attention(patchify(Tensor(x), 3), patchify(Tensor(rng.normal(size=(2, 3, 2))), 3), w)
     assert attn.shape == (2, 1, 1)
     assert np.allclose(attn.data, 1.0)
 
@@ -179,7 +179,7 @@ def test_constant_key_gives_uniform_patch_rows():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(1, 8, 2))
     const_key = np.ones((1, 8, 2)) * 0.7
-    _, attn = patch_attention(Tensor(x), Tensor(const_key), identity_weights(2), 2)
+    _, attn = patch_attention(patchify(Tensor(x), 2), patchify(Tensor(const_key), 2), identity_weights(2))
     assert np.allclose(attn.data, 0.25, atol=1e-12)
 
 
@@ -187,7 +187,8 @@ def test_local_attention_single_position():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(1, 4, 2))
     w = make_weights(2, rng)
-    ctx, attn = local_attention(Tensor(x), Tensor(x), w, 1)
+    patches = patchify(Tensor(x), 1)
+    ctx, attn = local_attention(patches, patches, w)
     assert np.allclose(attn.data, 1.0)
     # P=1: context equals the projected values
     v = x.reshape(4, 2) @ w.w_local_value.data
@@ -198,7 +199,7 @@ def test_constant_key_patch_gives_uniform_local_rows():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(1, 6, 2))
     const_key = np.full((1, 6, 2), -1.3)
-    _, attn = local_attention(Tensor(x), Tensor(const_key), identity_weights(2), 3)
+    _, attn = local_attention(patchify(Tensor(x), 3), patchify(Tensor(const_key), 3), identity_weights(2))
     assert np.allclose(attn.data, 1.0 / 3.0, atol=1e-12)
 
 

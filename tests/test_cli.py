@@ -1,6 +1,7 @@
 """End-to-end CLI runs on miniature configurations."""
 
 import json
+import warnings
 import zipfile
 
 import numpy as np
@@ -223,6 +224,15 @@ def test_diverged_training_exits_2(gen_dir, tmp_path, capsys):
                "--out", tmp_path / "x") == 2
     line = one_error_line(capsys)
     assert "epoch 0" in line and "lr=1e+200" in line
+
+
+def test_diverged_training_prints_no_numpy_warning(gen_dir, tmp_path, capsys):
+    # warnings as errors: a numpy RuntimeWarning would escape main as a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--data", gen_dir / "SYN1.csv", *FAST_TRAIN, "--lr", "1e200",
+                   "--out", tmp_path / "x") == 2
+    assert "lr=1e+200" in one_error_line(capsys)
 
 
 def test_non_finite_checkpoint_weights_exit_2(gen_dir, train_dir, tmp_path, capsys):

@@ -117,3 +117,14 @@ def test_read_csv_rejects_non_finite_cells(tmp_path, cell):
     path.write_text(f"a,b,c\n1,2,3\n4,5,6\n7,{cell},9\n")
     with pytest.raises(ValueError, match=r"series\.csv: non-finite value .* in data row 3, column 'b'"):
         read_csv_matrix(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_make_windows_rejects_non_finite_cells(value):
+    data = RNG.normal(size=(200, 3))
+    data[56, 1] = value
+    with pytest.raises(ValueError, match=r"non-finite value .* in data row 57, column 'col_1'"):
+        make_windows(data, 16, 4)
+    names = ["a", "b", "c"]
+    with pytest.raises(ValueError, match=r"in data row 57, column 'b'"):
+        make_windows(data, 16, 4, column_names=names)

@@ -1,6 +1,7 @@
 """Model pipeline: decomposition, encoders, scale wiring, fusion, checkpoints."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from crossscalenet.model import (
     save_checkpoint,
     scale_forward,
 )
+import crossscalenet.tensor as tensor_mod
 from crossscalenet.tensor import (
     NonFiniteError,
     ShapeError,
@@ -39,6 +41,11 @@ def small_config(**overrides):
     kw = dict(SMALL)
     kw.update(overrides)
     return ModelConfig(**kw)
+
+
+def channels_first(x: np.ndarray) -> Tensor:
+    """(B, T, D) array -> (B, D, T) tensor, the model's internal layout."""
+    return Tensor(np.swapaxes(x, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +88,7 @@ def test_decompose_even_kernel_errors():
 def test_encoder_zero_input_zero_biases_gives_zero():
     cfg = small_config()
     params = init_params(cfg, seed=0)  # biases start at zero
-    out = encoder_forward(Tensor(np.zeros((2, 16, 2))), params.seasonal[0])
+    out = encoder_forward(Tensor(np.swapaxes(np.zeros((2, 16, 2)), 1, 2)), params.seasonal[0])
     assert np.allclose(out.data, 0.0, atol=1e-15)
 
 
@@ -90,8 +97,8 @@ def test_encoder_output_shape(seq_len, horizon, dim):
     cfg = ModelConfig(lookback=seq_len, horizon=horizon, n_features=dim, n_scales=1,
                       patch_len=1, decomp_kernel=3, hidden_dim=6)
     params = init_params(cfg, seed=1)
-    out = encoder_forward(Tensor(RNG.normal(size=(3, seq_len, dim))), params.trend[0])
-    assert out.shape == (3, horizon, dim)
+    out = encoder_forward(Tensor(np.swapaxes(RNG.normal(size=(3, seq_len, dim)), 1, 2)), params.trend[0])
+    assert out.shape == (3, dim, horizon)  # channels-first
 
 
 def test_encoder_gradients():
@@ -106,7 +113,7 @@ def test_encoder_gradients():
     def mul_sq(t):
         return t * t
 
-    report = grad_check(f, RNG.normal(size=(1, 8, 2)), tol=1e-4)
+    report = grad_check(f, np.swapaxes(RNG.normal(size=(1, 8, 2)), 1, 2), tol=1e-4)
     assert report.passed, str(report)
 
 
@@ -122,21 +129,41 @@ def test_scale_forward_zero_valued_attention_is_identity_path():
     att.w_local_value.data[:] = 0.0
 
     x = Tensor(RNG.normal(size=(2, 8, 2)))
-    keys = Tensor(RNG.normal(size=(2, 8, 2)))
-    y_att, ys_att, yt_att, record = scale_forward(x, keys, keys, cfg, params, 2)
+    keys = channels_first(RNG.normal(size=(2, 8, 2)))
+    y_att, ys_att, yt_att, record = scale_forward(channels_first(x.data), keys, keys, cfg, params, 2)
     assert record is not None
 
     # reference: the plain no-attention pathway through the same encoders
     seasonal, trend = decompose(x, cfg.decomp_kernel)
-    y_ref = encoder_forward(seasonal, params.seasonal[1]) + encoder_forward(trend, params.trend[1])
+    y_ref = (encoder_forward(channels_first(seasonal.data), params.seasonal[1])
+             + encoder_forward(channels_first(trend.data), params.trend[1]))
     assert np.allclose(y_att.data, y_ref.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("seq_len,kernel", [(8, 5), (48, 5), (48, 25), (84, 5), (84, 25),
+                                             (168, 5), (168, 25)])
+def test_folded_decomposition_matches_explicit_decompose(seq_len, kernel):
+    # the fold W_s = W1 - M.T @ W1, W_t = M.T @ W1 against decompose + the
+    # unfolded encoders, at the scale lengths of lookbacks 16, 96 and 336
+    cfg = ModelConfig(lookback=seq_len, horizon=16, n_features=3, n_scales=1, patch_len=1,
+                      decomp_kernel=kernel, hidden_dim=8)
+    params = init_params(cfg, seed=seq_len + kernel)
+    x = RNG.normal(size=(2, seq_len, 3)) * 3.0
+    y, y_seasonal, y_trend, _ = scale_forward(channels_first(x), None, None, cfg, params, 1)
+
+    seasonal, trend = decompose(Tensor(x), kernel)
+    ys_ref = encoder_forward(channels_first(seasonal.data), params.seasonal[0]).data
+    yt_ref = encoder_forward(channels_first(trend.data), params.trend[0]).data
+    assert np.max(np.abs(y_seasonal.data - ys_ref)) < 1e-12
+    assert np.max(np.abs(y_trend.data - yt_ref)) < 1e-12
+    assert np.max(np.abs(y.data - (ys_ref + yt_ref))) < 1e-12
 
 
 def test_scale_forward_requires_keys_for_coarse_scales():
     cfg = small_config()
     params = init_params(cfg, seed=4)
     with pytest.raises(ShapeError):
-        scale_forward(Tensor(RNG.normal(size=(1, 8, 2))), None, None, cfg, params, 2)
+        scale_forward(channels_first(RNG.normal(size=(1, 8, 2))), None, None, cfg, params, 2)
 
 
 def test_scale_forward_matches_scripted_oracle():
@@ -148,7 +175,9 @@ def test_scale_forward_matches_scripted_oracle():
     k1 = RNG.normal(size=(1, 8, 2))
     k2 = RNG.normal(size=(1, 8, 2))
 
-    y, y_seasonal, y_trend, _ = scale_forward(Tensor(x), Tensor(k1), Tensor(k2), cfg, params, 2)
+    y, y_seasonal, y_trend, _ = scale_forward(
+        channels_first(x), channels_first(k1), channels_first(k2), cfg, params, 2
+    )
 
     ctx, _, _ = ref_cross_patch(x, k1, k2, cfg.patch_len, weights_as_dict(params.attention[1]), "cross_dual_key")
     refined = x + ctx
@@ -157,9 +186,9 @@ def test_scale_forward_matches_scripted_oracle():
     ys_ref = ref_encoder(seasonal_ref, params.seasonal[1])
     yt_ref = ref_encoder(trend_ref, params.trend[1])
 
-    assert np.allclose(y_seasonal.data, ys_ref, atol=1e-10)
-    assert np.allclose(y_trend.data, yt_ref, atol=1e-10)
-    assert np.allclose(y.data, ys_ref + yt_ref, atol=1e-10)
+    assert np.allclose(np.swapaxes(y_seasonal.data, 1, 2), ys_ref, atol=1e-10)
+    assert np.allclose(np.swapaxes(y_trend.data, 1, 2), yt_ref, atol=1e-10)
+    assert np.allclose(np.swapaxes(y.data, 1, 2), ys_ref + yt_ref, atol=1e-10)
 
 
 def ref_moving_average(x, kernel):
@@ -293,7 +322,7 @@ def test_forward_shapes_and_record_count():
         assert len(outputs.records) == m - 1
         assert len(outputs.predictions) == m
         for y in outputs.predictions:
-            assert y.shape == (4, 8, 3)
+            assert y.shape == (4, 3, 8)  # channels-first
 
 
 def test_single_scale_model_has_no_attention_params():
@@ -395,7 +424,8 @@ def test_model_gradients_pass_grad_check():
     target = Tensor(RNG.normal(size=(1, 4, 2)))
 
     for name in ("fusion.weight", "scale1.seasonal.w_time1", "scale2.attention.w_local_key",
-                 "scale2.gate", "scale1.trend.b_time2"):
+                 "scale2.gate", "scale1.trend.b_time2", "scale1.trend.w_time1",
+                 "scale2.seasonal.w_time1", "scale2.trend.w_time1"):
         start = dict(params.named_tensors())[name].data.copy()
 
         def f(v, _name=name):
@@ -406,6 +436,40 @@ def test_model_gradients_pass_grad_check():
 
         report = grad_check(f, start, tol=1e-3)
         assert report.passed, f"{name}: {report}"
+
+    # the input path, which integrated gradients differentiate
+    def f_input(v):
+        diff = model_forward(v, params, cfg)[0] - target
+        return mean_all(diff * diff)
+
+    report = grad_check(f_input, x, tol=1e-3)
+    assert report.passed, f"input: {report}"
+
+
+def test_forward_op_counts_at_acceptance_config(monkeypatch):
+    # one forward at lookback 96, 7 channels, 3 scales, patch 16: the fold
+    # removes the moving averages, the channels-first layout most
+    # transposes, and one patchify per attention stream the rest
+    limits = {"moving_average": 0, "broadcast_to": 0, "patchify": 6, "swap_last2": 20}
+    calls = dict.fromkeys(limits, 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("crossscalenet")]
+    for name in limits:
+        original = getattr(tensor_mod, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+
+    cfg = ModelConfig(lookback=96, horizon=16, n_features=7, n_scales=3, patch_len=16)
+    assert cfg.variant == "cross_dual_key"
+    with Tape():
+        model_forward(Tensor(RNG.normal(size=(2, 96, 7)), requires_grad=True), init_params(cfg, seed=25), cfg)
+    for name, limit in limits.items():
+        assert calls[name] <= limit, f"{name}: {calls[name]} calls > {limit}"
 
 
 # ---------------------------------------------------------------------------
