@@ -12,9 +12,11 @@ Keys for both paths can come from an external sequence (the coarse-scale
 forecast and its seasonal branch, interpolated to this scale's length by
 the caller), which is what makes the attention weights readable as
 temporal saliency. Queries and values always come from the input stream.
-Four variants cover the ablation grid: plain self-attention over the full
-sequence, patch attention with internal keys, and the cross-key form with
-a shared external key or two distinct external keys.
+``KEY_SOURCES`` maps each of the four ablation variants to the stream each
+path keys on: patch attention with internal keys, the cross-key form with
+a shared external key or two distinct external keys, and plain
+self-attention, which is patch attention over one-step patches with no
+local path. Callers build only the key streams a variant reads.
 """
 
 from __future__ import annotations
@@ -35,7 +37,16 @@ from .tensor import (
     unpatchify,
 )
 
-VARIANTS = ("self_attention", "patch_attention", "cross_shared_key", "cross_dual_key")
+# variant -> (patch-path key, local-path key): "input" keys on the input
+# itself, "forecast" on the scale-1 forecast, "seasonal" on its seasonal
+# branch. A variant without a local key attends over one-step patches.
+KEY_SOURCES = {
+    "self_attention": ("input", None),
+    "patch_attention": ("input", "input"),
+    "cross_shared_key": ("forecast", "forecast"),
+    "cross_dual_key": ("forecast", "seasonal"),
+}
+VARIANTS = tuple(KEY_SOURCES)
 
 
 @dataclass
@@ -59,8 +70,8 @@ class AttentionConfig:
 class AttentionWeights:
     """Square D x D projections for the two attention paths.
 
-    The local trio is None for the self_attention variant, which uses only
-    the primary projections over the full sequence.
+    The local trio is None for a variant without a local key (see
+    ``KEY_SOURCES``), which uses only the patch-path projections.
     """
 
     w_query: Tensor
@@ -105,9 +116,9 @@ class AttentionRecord:
     ``patch_weights`` has shape (B, N, N): rows are query patches, columns
     key patches. ``local_weights`` has shape (B, N, P, P): per patch, rows
     are query positions, columns key positions. The self_attention variant
-    stores the full sequence attention as patch_weights with patch_len 1
-    and all-ones local_weights, so downstream aggregation needs no special
-    case.
+    attends over one-step patches with no local path: patch_weights is the
+    full (B, T, T) sequence attention, patch_len is 1 and local_weights is
+    all ones, so downstream aggregation needs no special case.
 
     A forward pass returns one row per window. ``explain.collect_records``
     returns B = 1 records holding the mean over all windows; a mean of
@@ -151,8 +162,9 @@ def patch_attention(
     scale = 1.0 / np.sqrt(patches_q.shape[-1])
 
     pooled_q = mean_axis(patches_q, 2)  # (B, N, D), also the values
+    pooled_k = pooled_q if patches_k is patches_q else mean_axis(patches_k, 2)
     q = matmul(pooled_q, weights.w_query)
-    k = matmul(mean_axis(patches_k, 2), weights.w_key)
+    k = matmul(pooled_k, weights.w_key)
     v = matmul(pooled_q, weights.w_value)
 
     attn = softmax_lastdim(matmul(q, swap_last2(k)) * scale)  # (B, N, N)
@@ -185,16 +197,6 @@ def local_attention(
     return reshape(context, (b, n, p, dim)), reshape(attn, (b, n, p, p))
 
 
-def _self_attention(x: Tensor, weights: AttentionWeights) -> tuple[Tensor, Tensor]:
-    dim = x.shape[-1]
-    scale = 1.0 / np.sqrt(dim)
-    q = matmul(x, weights.w_query)
-    k = matmul(x, weights.w_key)
-    v = matmul(x, weights.w_value)
-    attn = softmax_lastdim(matmul(q, swap_last2(k)) * scale)  # (B, T, T)
-    return matmul(attn, v), attn
-
-
 def cross_patch_attention(
     x: Tensor,
     key_forecast: Tensor | None,
@@ -205,13 +207,10 @@ def cross_patch_attention(
 ) -> tuple[Tensor, AttentionRecord]:
     """Combined patch + local attention context for one scale.
 
-    Key routing by variant:
-
-    * cross_dual_key: patch path keys on the interpolated forecast,
-      local path keys on its seasonal branch;
-    * cross_shared_key: both paths key on the forecast;
-    * patch_attention: both paths key on the input itself;
-    * self_attention: single full-sequence attention, no patching.
+    The variant's row of ``KEY_SOURCES`` names the stream each path keys
+    on; a key it does not read may be None. Without a local key (the
+    self_attention variant) the patches are one time step long and the
+    patch context is the whole context.
 
     Returns the context at input resolution (B, T, D) and the attention
     record for saliency extraction.
@@ -222,48 +221,34 @@ def cross_patch_attention(
     if dim != config.model_dim:
         raise ShapeError(f"input dim {dim} != config.model_dim {config.model_dim}")
 
-    if config.variant == "self_attention":
-        context, attn = _self_attention(x, weights)
-        record = AttentionRecord(
-            patch_weights=attn.data.copy(),
-            local_weights=np.ones((b, seq_len, 1, 1)),
-            scale_index=scale_index,
-            patch_len=1,
-            seq_len=seq_len,
-        )
-        return context, record
+    streams = {"input": x, "forecast": key_forecast, "seasonal": key_seasonal}
+    patch_src, local_src = KEY_SOURCES[config.variant]
+    patch_len = config.patch_len if local_src else 1
+    # patchify each distinct stream once, the input first; both paths share
+    # the query patches
+    patches = {}
+    for src in dict.fromkeys(s for s in ("input", patch_src, local_src) if s):
+        if streams[src] is None:
+            raise ShapeError(f"{config.variant} requires the {src} key")
+        _check_aligned(x, streams[src], 3, "cross_patch_attention")
+        patches[src] = patchify(streams[src], patch_len)
 
-    if config.variant == "patch_attention":
-        patch_key = local_key = x
-    elif config.variant == "cross_shared_key":
-        if key_forecast is None:
-            raise ShapeError("cross_shared_key requires the forecast key")
-        patch_key = local_key = key_forecast
-    elif config.variant == "cross_dual_key":
-        if key_forecast is None or key_seasonal is None:
-            raise ShapeError("cross_dual_key requires both keys")
-        patch_key = key_forecast
-        local_key = key_seasonal
-    else:  # pragma: no cover - AttentionConfig already validates
-        raise ValueError(f"unknown variant {config.variant!r}")
-
-    _check_aligned(x, patch_key, 3, "cross_patch_attention")
-    _check_aligned(x, local_key, 3, "cross_patch_attention")
-    # patchify each distinct stream once; both paths share the query patches
-    patches_x = patchify(x, config.patch_len)
-    patches_pk = patches_x if patch_key is x else patchify(patch_key, config.patch_len)
-    patches_lk = patches_pk if local_key is patch_key else patchify(local_key, config.patch_len)
-    ctx_patch, attn_patch = patch_attention(patches_x, patches_pk, weights)
-    ctx_local, attn_local = local_attention(patches_x, patches_lk, weights)
-    n = patches_x.shape[1]
-    # the patch context broadcasts over each patch's P positions
-    context = unpatchify(ctx_local + reshape(ctx_patch, (b, n, 1, dim)), seq_len)
+    ctx_patch, attn_patch = patch_attention(patches["input"], patches[patch_src], weights)
+    if local_src:
+        ctx_local, attn_local = local_attention(patches["input"], patches[local_src], weights)
+        # the patch context broadcasts over each patch's P positions
+        n = ctx_patch.shape[1]
+        context = unpatchify(ctx_local + reshape(ctx_patch, (b, n, 1, dim)), seq_len)
+        local_weights = attn_local.data.copy()
+    else:
+        context = ctx_patch  # one-step patches: (B, T, D) already
+        local_weights = np.ones((b, seq_len, 1, 1))
 
     record = AttentionRecord(
         patch_weights=attn_patch.data.copy(),
-        local_weights=attn_local.data.copy(),
+        local_weights=local_weights,
         scale_index=scale_index,
-        patch_len=config.patch_len,
+        patch_len=patch_len,
         seq_len=seq_len,
     )
     return context, record

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .attention import VARIANTS
 from .data import dataset_from_csv, make_windows
 from .explain import DEFAULT_RATIOS, build_report, export_report_files
 from .model import CrossScaleNet, ModelConfig
@@ -33,7 +34,7 @@ from .synthgen import (
     load_mask,
 )
 from .tensor import NonFiniteError
-from .train import TrainConfig, TrainingDiverged, evaluate, train, write_history_csv
+from .train import Metrics, TrainConfig, TrainingDiverged, evaluate, train, write_history_csv
 
 DEFAULT_SEED = 42
 
@@ -128,10 +129,11 @@ def _dataset_for(resolved: dict):
     )
 
 
-def cmd_train(args, explicit: set[str]) -> int:
-    resolved = _resolve(args, explicit)
+def _train_run(resolved: dict, out_path: str | Path) -> Metrics:
+    """Build the model and training configs from resolved parameters, train,
+    evaluate on the test split (train if it is empty) and write model.ckpt,
+    history.csv, metrics.json and resolved_config.json under out_path."""
     dataset, data_ref = _dataset_for(resolved)
-
     model_config = ModelConfig(
         lookback=resolved["lookback"],
         horizon=resolved["horizon"],
@@ -151,7 +153,7 @@ def cmd_train(args, explicit: set[str]) -> int:
         patience=resolved["patience"],
     )
 
-    out = _prepare_out(resolved["out"] or Path(_out_root()) / "train")
+    out = _prepare_out(out_path)
     model = CrossScaleNet(model_config, seed=resolved["seed"])
     _, history = train(model, dataset, train_config)
     metrics = evaluate(model, dataset, "test" if dataset.n_windows("test") else "train")
@@ -165,6 +167,12 @@ def cmd_train(args, explicit: set[str]) -> int:
     (out / "metrics.json").write_text(json.dumps(metrics.to_dict(), indent=1, sort_keys=True))
     _write_snapshot(out, "train", resolved)
     print(f"test mse {metrics.mse:.6f} mae {metrics.mae:.6f}; artifacts under {out}")
+    return metrics
+
+
+def cmd_train(args, explicit: set[str]) -> int:
+    resolved = _resolve(args, explicit)
+    _train_run(resolved, resolved["out"] or Path(_out_root()) / "train")
     return 0
 
 
@@ -205,6 +213,8 @@ def cmd_ablation(args, explicit: set[str]) -> int:
     variants = resolved["variants"].split(",")
     seeds = [int(s) for s in resolved["seeds"].split(",")]
     out = _prepare_out(resolved["out"] or Path(_out_root()) / "ablation")
+    # every run trains with the sweep's training flags
+    shared = {k: v for k, v in resolved.items() if k not in ("datasets", "variants", "seeds")}
 
     rows = []
     failures = []
@@ -214,18 +224,10 @@ def cmd_ablation(args, explicit: set[str]) -> int:
             for seed in seeds:
                 run_dir = out / "runs" / f"{dataset_name}_{variant}_{seed}"
                 try:
-                    sub = argparse.Namespace(
-                        data=dataset_name, variant=variant, lookback=resolved["lookback"],
-                        horizon=resolved["horizon"], scales=resolved["scales"],
-                        patch=resolved["patch"], kernel=resolved["kernel"],
-                        hidden=resolved["hidden"], lr=resolved["lr"], batch=resolved["batch"],
-                        epochs=resolved["epochs"], patience=resolved["patience"],
-                        no_instance_norm=resolved["no_instance_norm"], seed=seed,
-                        target=None, out=str(run_dir), config=None,
-                    )
-                    cmd_train(sub, set(vars(sub)))
-                    metrics = json.loads((run_dir / "metrics.json").read_text())
-                    per_seed.append((metrics["mse"], metrics["mae"]))
+                    run = {**shared, "data": dataset_name, "variant": variant, "seed": seed,
+                           "target": None, "out": str(run_dir)}
+                    metrics = _train_run(run, run_dir)
+                    per_seed.append((metrics.mse, metrics.mae))
                 except Exception as exc:  # keep sweeping, record the failure
                     failures.append({"dataset": dataset_name, "variant": variant,
                                      "seed": seed, "error": f"{type(exc).__name__}: {exc}"})
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablation", help="cross-product sweep over datasets/variants/seeds")
     p_abl.add_argument("--datasets", default="SYN1")
-    p_abl.add_argument("--variants", default="self_attention,patch_attention,cross_shared_key,cross_dual_key")
+    p_abl.add_argument("--variants", default=",".join(VARIANTS))
     p_abl.add_argument("--seeds", default="42")
     _add_common_train_flags(p_abl)
     p_abl.add_argument("--seed", type=int, default=DEFAULT_SEED, help=argparse.SUPPRESS)

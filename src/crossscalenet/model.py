@@ -5,9 +5,11 @@ average-pool the input to M temporal scales (factor 2^(m-1), scale 1 is
 the original resolution), run scale 1 through trend/seasonal encoders,
 then refine every coarser scale's input with cross-patch attention whose
 keys are the scale-1 forecast and its seasonal branch (interpolated to
-the scale's length). Scale outputs are gated by learnable sigmoid weights,
-concatenated along the horizon, and fused by a per-channel FC into the
-final forecast.
+the scale's length). Only the key streams the variant reads
+(``attention.KEY_SOURCES``) are built; self-attention is patch attention
+over one-step patches with no local path and reads neither. Scale
+outputs are gated by learnable sigmoid weights, concatenated along the
+horizon, and fused by a per-channel FC into the final forecast.
 
 Layout: the forward pass takes (B, T, D) windows and returns (B, H, D)
 forecasts, but keeps activations channels-first, (B, D, T), in between,
@@ -21,13 +23,21 @@ gradients reach W1). ``decompose`` is the explicit reference.
 
 from __future__ import annotations
 
+import copy
 import json
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .attention import VARIANTS, AttentionConfig, AttentionRecord, AttentionWeights, cross_patch_attention
+from .attention import (
+    KEY_SOURCES,
+    VARIANTS,
+    AttentionConfig,
+    AttentionRecord,
+    AttentionWeights,
+    cross_patch_attention,
+)
 from .tensor import (
     NonFiniteError,
     ShapeError,
@@ -143,27 +153,10 @@ class CrossScaleNetParams:
         return [t for _, t in self.named_tensors()]
 
     def copy(self) -> "CrossScaleNetParams":
-        def enc_copy(e: EncoderWeights) -> EncoderWeights:
-            return EncoderWeights(*(Tensor(t.data.copy(), requires_grad=t.requires_grad)
-                                    for _, t in e.named("")))
-
-        def att_copy(a: AttentionWeights | None) -> AttentionWeights | None:
-            if a is None:
-                return None
-            trio = lambda t: None if t is None else Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            return AttentionWeights(
-                trio(a.w_query), trio(a.w_key), trio(a.w_value),
-                trio(a.w_local_query), trio(a.w_local_key), trio(a.w_local_value),
-            )
-
-        return CrossScaleNetParams(
-            seasonal=[enc_copy(e) for e in self.seasonal],
-            trend=[enc_copy(e) for e in self.trend],
-            attention=[att_copy(a) for a in self.attention],
-            gate_logits=[Tensor(g.data.copy(), requires_grad=g.requires_grad) for g in self.gate_logits],
-            fusion_weight=Tensor(self.fusion_weight.data.copy(), requires_grad=True),
-            fusion_bias=Tensor(self.fusion_bias.data.copy(), requires_grad=True),
-        )
+        """Deep copy: fresh tensors with the same values and requires_grad,
+        no gradients; every field is copied, whatever it holds."""
+        fresh = {id(t): Tensor(t.data.copy(), requires_grad=t.requires_grad) for t in self.tensors()}
+        return copy.deepcopy(self, fresh)
 
 
 @dataclass
@@ -198,9 +191,8 @@ def init_params(config: ModelConfig, seed: int = 0) -> CrossScaleNetParams:
         )
 
     def attention_weights():
-        if config.variant == "self_attention":
-            return AttentionWeights(weight(dim, dim), weight(dim, dim), weight(dim, dim))
-        return AttentionWeights(*(weight(dim, dim) for _ in range(6)))
+        has_local = KEY_SOURCES[config.variant][1] is not None
+        return AttentionWeights(*(weight(dim, dim) for _ in range(6 if has_local else 3)))
 
     lengths = config.scale_lengths
     return CrossScaleNetParams(
@@ -245,16 +237,15 @@ def scale_forward(
     trend encoders with the decomposition folded into their first layer.
 
     Channels-first: the input and keys are (B, D, T_m), the three
-    forecasts (B, D, H). Returns (prediction, seasonal branch, trend
-    branch, record or None).
+    forecasts (B, D, H). A key the variant does not read is None and is
+    not transposed; ``cross_patch_attention`` names a missing one. Returns
+    (prediction, seasonal branch, trend branch, record or None).
     """
     record = None
     if scale_index >= 2:
-        if key_forecast is None:
-            raise ShapeError(f"scale {scale_index} needs keys from scale 1")
         context, record = cross_patch_attention(
             swap_last2(x_scale),
-            swap_last2(key_forecast),
+            None if key_forecast is None else swap_last2(key_forecast),
             None if key_seasonal is None else swap_last2(key_seasonal),
             config.attention_config(),
             params.attention[scale_index - 1],
@@ -297,11 +288,13 @@ def model_forward(
     y1, y1_seasonal, _, _ = scale_forward(x_in, None, None, config, params, 1)
     outputs.predictions.append(y1)
 
+    # resample only the key streams the variant reads
+    reads = KEY_SOURCES[config.variant]
     for m, t_m in enumerate(config.scale_lengths[1:], start=2):
         y_m, _, _, record = scale_forward(
             avg_downsample(x_in, 2 ** (m - 1)),
-            linear_interp(y1, t_m),
-            linear_interp(y1_seasonal, t_m),
+            linear_interp(y1, t_m) if "forecast" in reads else None,
+            linear_interp(y1_seasonal, t_m) if "seasonal" in reads else None,
             config, params, m,
         )
         outputs.predictions.append(y_m)

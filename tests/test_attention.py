@@ -346,6 +346,11 @@ def test_shape_mismatch_errors():
         cross_patch_attention(x, short, short, cfg, w)
     with pytest.raises(ShapeError):
         cross_patch_attention(x, None, None, cfg, w)
+    # a missing key is named with the variant that reads it
+    with pytest.raises(ShapeError, match="cross_shared_key requires the forecast key"):
+        cross_patch_attention(x, None, x, AttentionConfig(2, "cross_shared_key", 2), w)
+    with pytest.raises(ShapeError, match="cross_dual_key requires the seasonal key"):
+        cross_patch_attention(x, x, None, cfg, w)
 
 
 def test_record_validate_catches_corruption():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from crossscalenet.attention import VARIANTS
 from crossscalenet.model import (
     CrossScaleNet,
     CrossScaleNetParams,
@@ -164,6 +165,18 @@ def test_scale_forward_requires_keys_for_coarse_scales():
     params = init_params(cfg, seed=4)
     with pytest.raises(ShapeError):
         scale_forward(channels_first(RNG.normal(size=(1, 8, 2))), None, None, cfg, params, 2)
+
+
+@pytest.mark.parametrize("variant", ["self_attention", "patch_attention"])
+def test_scale_forward_without_keys_for_internal_key_variants(variant):
+    # variants that key on their own input need no scale-1 keys
+    cfg = small_config(variant=variant)
+    params = init_params(cfg, seed=4)
+    x = RNG.normal(size=(2, 8, 2))
+    y, _, _, record = scale_forward(channels_first(x), None, None, cfg, params, 2)
+    assert y.shape == (2, 2, cfg.horizon)
+    record.validate()
+    assert record.patch_len == (1 if variant == "self_attention" else cfg.patch_len)
 
 
 def test_scale_forward_matches_scripted_oracle():
@@ -446,11 +459,26 @@ def test_model_gradients_pass_grad_check():
     assert report.passed, f"input: {report}"
 
 
-def test_forward_op_counts_at_acceptance_config(monkeypatch):
+# per variant: (linear_interp, swap_last2, patchify) limits. Only the key
+# streams a variant reads are resampled and transposed (forecast and
+# seasonal: 2 each over scales 2 and 3); self-attention patchifies only
+# its input, into one-step patches.
+OP_LIMITS = {
+    "self_attention": (0, 14, 2),
+    "patch_attention": (0, 16, 2),
+    "cross_shared_key": (2, 18, 4),
+    "cross_dual_key": (4, 20, 6),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_op_counts_at_acceptance_config(monkeypatch, variant):
     # one forward at lookback 96, 7 channels, 3 scales, patch 16: the fold
     # removes the moving averages, the channels-first layout most
     # transposes, and one patchify per attention stream the rest
-    limits = {"moving_average": 0, "broadcast_to": 0, "patchify": 6, "swap_last2": 20}
+    n_interp, n_swap, n_patchify = OP_LIMITS[variant]
+    limits = {"moving_average": 0, "broadcast_to": 0, "linear_interp": n_interp,
+              "patchify": n_patchify, "swap_last2": n_swap}
     calls = dict.fromkeys(limits, 0)
     modules = [m for name, m in sys.modules.items() if name.startswith("crossscalenet")]
     for name in limits:
@@ -464,8 +492,7 @@ def test_forward_op_counts_at_acceptance_config(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
 
-    cfg = ModelConfig(lookback=96, horizon=16, n_features=7, n_scales=3, patch_len=16)
-    assert cfg.variant == "cross_dual_key"
+    cfg = ModelConfig(lookback=96, horizon=16, n_features=7, n_scales=3, patch_len=16, variant=variant)
     with Tape():
         model_forward(Tensor(RNG.normal(size=(2, 96, 7)), requires_grad=True), init_params(cfg, seed=25), cfg)
     for name, limit in limits.items():
