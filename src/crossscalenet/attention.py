@@ -32,8 +32,7 @@ from .tensor import (
     mean_axis,
     patchify,
     reshape,
-    softmax_lastdim,
-    swap_last2,
+    softmax_attention,
     unpatchify,
 )
 
@@ -120,10 +119,11 @@ class AttentionRecord:
     full (B, T, T) sequence attention, patch_len is 1 and local_weights is
     all ones, so downstream aggregation needs no special case.
 
-    A forward pass returns one row per window. ``explain.collect_records``
-    returns B = 1 records holding the mean over all windows; a mean of
-    row-stochastic matrices is row-stochastic, so ``validate`` applies to
-    both.
+    A forward pass returns one row per window, and its arrays are the
+    read-only weights the gradient tape also holds, shared without a copy:
+    copy them before mutating. ``explain.collect_records`` returns B = 1
+    records holding the mean over all windows; a mean of row-stochastic
+    matrices is row-stochastic, so ``validate`` applies to both.
     """
 
     patch_weights: np.ndarray
@@ -150,13 +150,14 @@ def _check_aligned(query: Tensor, key: Tensor, ndim: int, who: str) -> None:
 
 def patch_attention(
     patches_q: Tensor, patches_k: Tensor, weights: AttentionWeights
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, np.ndarray]:
     """Attention across mean-pooled patch summaries.
 
     Takes (B, N, P, D) query and key patches (see ``patchify``). Both are
     mean-pooled over the patch axis and projected; values ride the pooled
     query stream. Returns one context vector per patch, (B, N, D), and
-    the (B, N, N) attention weights.
+    the (B, N, N) attention weights as a read-only ndarray (see
+    ``softmax_attention``).
     """
     _check_aligned(patches_q, patches_k, 4, "patch_attention")
     scale = 1.0 / np.sqrt(patches_q.shape[-1])
@@ -166,19 +167,18 @@ def patch_attention(
     q = matmul(pooled_q, weights.w_query)
     k = matmul(pooled_k, weights.w_key)
     v = matmul(pooled_q, weights.w_value)
-
-    attn = softmax_lastdim(matmul(q, swap_last2(k)) * scale)  # (B, N, N)
-    return matmul(attn, v), attn
+    return softmax_attention(q, k, v, scale)
 
 
 def local_attention(
     patches_q: Tensor, patches_k: Tensor, weights: AttentionWeights
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, np.ndarray]:
     """Attention among the P time steps inside each patch.
 
     Takes (B, N, P, D) query and key patches; queries and values come from
     the query patches. Returns the local context (B, N, P, D) and the
-    (B, N, P, P) attention weights.
+    (B, N, P, P) attention weights as a read-only ndarray (see
+    ``softmax_attention``).
     """
     _check_aligned(patches_q, patches_k, 4, "local_attention")
     b, n, p, dim = patches_q.shape
@@ -191,10 +191,8 @@ def local_attention(
     k = matmul(flat_k, weights.w_local_key)
     v = matmul(flat_q, weights.w_local_value)
 
-    attn = softmax_lastdim(matmul(q, swap_last2(k)) * scale)  # (B*N, P, P)
-    context = matmul(attn, v)
-
-    return reshape(context, (b, n, p, dim)), reshape(attn, (b, n, p, p))
+    context, attn = softmax_attention(q, k, v, scale)  # attn: (B*N, P, P)
+    return reshape(context, (b, n, p, dim)), attn.reshape(b, n, p, p)
 
 
 def cross_patch_attention(
@@ -239,14 +237,13 @@ def cross_patch_attention(
         # the patch context broadcasts over each patch's P positions
         n = ctx_patch.shape[1]
         context = unpatchify(ctx_local + reshape(ctx_patch, (b, n, 1, dim)), seq_len)
-        local_weights = attn_local.data.copy()
     else:
         context = ctx_patch  # one-step patches: (B, T, D) already
-        local_weights = np.ones((b, seq_len, 1, 1))
+        attn_local = np.broadcast_to(1.0, (b, seq_len, 1, 1))  # read-only, like the maps
 
     record = AttentionRecord(
-        patch_weights=attn_patch.data.copy(),
-        local_weights=local_weights,
+        patch_weights=attn_patch,
+        local_weights=attn_local,
         scale_index=scale_index,
         patch_len=patch_len,
         seq_len=seq_len,

@@ -89,7 +89,8 @@ class ModelConfig:
         if self.decomp_kernel % 2 == 0 or self.decomp_kernel < 1:
             raise ValueError(f"decomp_kernel must be odd, got {self.decomp_kernel}")
         coarsest = self.scale_lengths[-1]
-        if coarsest < self.patch_len:
+        # a variant without a local key attends over one-step patches
+        if KEY_SOURCES[self.variant][1] is not None and coarsest < self.patch_len:
             raise ValueError(
                 f"coarsest scale length {coarsest} < patch_len {self.patch_len}; "
                 f"reduce n_scales or patch_len"

@@ -2,11 +2,11 @@
 
 The numeric layer is deliberately small: it provides exactly the dense
 operations the forecaster needs (batched matmul, pointwise arithmetic,
-stable softmax/sigmoid, time-axis resampling, patch extraction) plus a
-define-by-run gradient tape that is rebuilt for every forward/backward
-pass. Arrays are row-major float64 throughout. Broadcasting is limited
-to numpy's trailing-extent rule (missing leading axes and size-1 axes
-stretch); anything else raises.
+stable softmax/sigmoid, fused scaled dot-product attention, time-axis
+resampling, patch extraction) plus a define-by-run gradient tape that
+is rebuilt for every forward/backward pass. Arrays are row-major float64
+throughout. Broadcasting is limited to numpy's trailing-extent rule
+(missing leading axes and size-1 axes stretch); anything else raises.
 """
 
 from __future__ import annotations
@@ -353,27 +353,83 @@ def matmul(a, b) -> Tensor:
 # nonlinearities
 
 
-def softmax_lastdim(x) -> Tensor:
-    """Row-stable softmax along the last axis (max-subtraction).
+def _softmax_rows(s: np.ndarray) -> np.ndarray:
+    """Row-stable softmax along the last axis, in place on ``s`` (max-subtraction)."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
-    Exponentiates and normalizes in place on one temporary, so a (B, T, T)
-    input costs one extra T x T array instead of three.
+
+def _softmax_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Input gradient of a softmax with output ``s`` and output gradient ``g``."""
+    inner = (g * s).sum(axis=-1, keepdims=True)
+    return (g - inner) * s
+
+
+def softmax_lastdim(x) -> Tensor:
+    """Row-stable softmax along the last axis.
+
+    Normalizes one copy of the input in place, so a (B, T, T) input costs
+    one extra T x T array.
     """
     x = _as_tensor(x)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError("softmax_lastdim: empty last axis")
-    s = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s = _softmax_rows(x.data.copy())
     out, tape = _result(s, (x,), "softmax_lastdim")
     if tape is not None:
+        tape.record((x,), out, lambda g: (_softmax_grad(g, s),))
+    return out
+
+
+def softmax_attention(q, k, v, scale: float) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention ``softmax(q @ k^T * scale) @ v`` as one tape op.
+
+    Takes q (..., Tq, D), k (..., Tk, D) and v (..., Tk, Dv) with batch
+    extents as in ``matmul``. Returns the context (..., Tq, Dv) and the
+    (..., Tq, Tk) weights as a read-only ndarray, which the backward rule
+    also reads. The scores are built in one array, then scaled and
+    normalized in place. Values and gradients equal those of the chain
+    ``matmul(q, swap_last2(k)) * scale -> softmax_lastdim -> matmul(., v)``
+    bit for bit: the backward runs that chain's numpy calls in its order.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeError(f"softmax_attention needs >=2-d operands, got {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or k.shape[-2] < 1:
+        raise ShapeError(f"softmax_attention: q {q.shape}, k {k.shape}, v {v.shape} do not align")
+    try:
+        np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    except ValueError as exc:
+        raise ShapeError(f"softmax_attention batch extents do not broadcast: {q.shape}, {k.shape}, {v.shape}") from exc
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    w = np.matmul(q.data, kt)
+    w *= scale
+    # scores before weights: exp(-inf) = 0 would hide a -inf score
+    _check_finite(w, "softmax_attention scores")
+    _check_finite(_softmax_rows(w), "softmax_attention weights")
+    w.setflags(write=False)
+    out, tape = _result(np.matmul(w, v.data), (q, k, v), "softmax_attention")
+    if tape is not None:
+        qd, vd = q.data, v.data
+        qsh, ksh, vsh = q.shape, k.shape, v.shape
+        need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
         def rule(g: np.ndarray):
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            return ((g - inner) * s,)
+            gq = gk = gv = None
+            if need_q or need_k:
+                gs = _softmax_grad(np.matmul(g, np.swapaxes(vd, -1, -2)), w) * scale
+                if need_q:
+                    gq = _unbroadcast(np.matmul(gs, np.swapaxes(kt, -1, -2)), qsh)
+                if need_k:
+                    gk = _unbroadcast(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2), ksh)
+            if need_v:
+                gv = _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), vsh)
+            return (gq, gk, gv)
 
-        tape.record((x,), out, rule)
-    return out
+        tape.record((q, k, v), out, rule)
+    return out, w
 
 
 def sigmoid(x) -> Tensor:

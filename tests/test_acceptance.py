@@ -28,6 +28,7 @@ from crossscalenet.tensor import (
     grad_check,
     mean_all,
     mul,
+    softmax_attention,
     softmax_lastdim,
     sum_all,
 )
@@ -119,6 +120,7 @@ def test_criterion_1_autodiff(capfd):
         ("broadcast_to", lambda x: sum_all(mul(broadcast_to(x, (4, 3, 2)), w432)), (3, 1)),
         ("take_lastdim", lambda x: sum_all(mul(take_lastdim(x, [2, 0]), w22)), (2, 4)),
         ("concat", lambda x: sum_all(mul(concat([x, c23], 0), w43b)), (2, 3)),
+        ("softmax_attention", lambda x: sum_all(mul(softmax_attention(x, x, x, 0.7)[0], w432)), (4, 3, 2)),
     ]
     worst_op = 0.0
     for op_name, fn, shape in op_cases:

@@ -159,7 +159,7 @@ def test_hand_computed_two_patch_attention():
     _, attn = patch_attention(patchify(Tensor(x), 2), patchify(Tensor(k), 2), w)
     logits = np.array([[4.0, 4.0], [0.0, 0.0]])  # pooled_q[:,None]*pooled_k[None,:]/sqrt(1)
     expect = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    assert np.allclose(attn.data[0], expect, atol=1e-12)
+    assert np.allclose(attn[0], expect, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_single_patch_attention_is_one():
     w = make_weights(2, rng)
     _, attn = patch_attention(patchify(Tensor(x), 3), patchify(Tensor(rng.normal(size=(2, 3, 2))), 3), w)
     assert attn.shape == (2, 1, 1)
-    assert np.allclose(attn.data, 1.0)
+    assert np.allclose(attn, 1.0)
 
 
 def test_constant_key_gives_uniform_patch_rows():
@@ -180,7 +180,7 @@ def test_constant_key_gives_uniform_patch_rows():
     x = rng.normal(size=(1, 8, 2))
     const_key = np.ones((1, 8, 2)) * 0.7
     _, attn = patch_attention(patchify(Tensor(x), 2), patchify(Tensor(const_key), 2), identity_weights(2))
-    assert np.allclose(attn.data, 0.25, atol=1e-12)
+    assert np.allclose(attn, 0.25, atol=1e-12)
 
 
 def test_local_attention_single_position():
@@ -189,7 +189,7 @@ def test_local_attention_single_position():
     w = make_weights(2, rng)
     patches = patchify(Tensor(x), 1)
     ctx, attn = local_attention(patches, patches, w)
-    assert np.allclose(attn.data, 1.0)
+    assert np.allclose(attn, 1.0)
     # P=1: context equals the projected values
     v = x.reshape(4, 2) @ w.w_local_value.data
     assert np.allclose(ctx.data.reshape(4, 2), v, atol=1e-12)
@@ -200,7 +200,7 @@ def test_constant_key_patch_gives_uniform_local_rows():
     x = rng.normal(size=(1, 6, 2))
     const_key = np.full((1, 6, 2), -1.3)
     _, attn = local_attention(patchify(Tensor(x), 3), patchify(Tensor(const_key), 3), identity_weights(2))
-    assert np.allclose(attn.data, 1.0 / 3.0, atol=1e-12)
+    assert np.allclose(attn, 1.0 / 3.0, atol=1e-12)
 
 
 def test_dual_key_with_equal_keys_collapses_to_shared():
@@ -321,6 +321,34 @@ def test_gradients_reach_projection_weights():
     for name in ("w_query", "w_key", "w_value", "w_local_query", "w_local_key", "w_local_value"):
         report = grad_check(f_for(name), getattr(base, name).data, tol=1e-4)
         assert report.passed, f"{name}: {report}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_records_are_read_only_and_reading_them_keeps_gradients(variant):
+    # the record shares its weights with the tape, without a copy
+    rng = np.random.default_rng(19)
+    x, k1, k2 = (rng.normal(size=(2, 8, 3)) for _ in range(3))
+    cfg = AttentionConfig(2, variant, 3)
+
+    def gradients(read_records):
+        w = make_weights(3, np.random.default_rng(20))
+        for _, t in w.named():
+            t.requires_grad = True
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            ctx, record = cross_patch_attention(xt, Tensor(k1), Tensor(k2), cfg, w)
+            if read_records:
+                record.validate()
+                for arr in (record.patch_weights, record.local_weights):
+                    with pytest.raises(ValueError):
+                        arr[0] = 0.0
+                    with pytest.raises(ValueError):
+                        arr += 1.0
+            tape.backward(sum_all(ctx * ctx))
+        return [xt.grad] + [t.grad for _, t in w.named()]
+
+    for untouched, read in zip(gradients(False), gradients(True)):
+        assert np.array_equal(untouched, read)
 
 
 # ---------------------------------------------------------------------------

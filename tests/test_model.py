@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from crossscalenet.tensor import (
     grad_check,
     mean_all,
     sum_all,
+    suspend_tape,
 )
 
 from test_attention import ref_cross_patch, weights_as_dict
@@ -316,6 +318,19 @@ def test_config_validation():
         small_config(decomp_kernel=25)  # > 2*8-1 at the coarsest scale
 
 
+def test_patch_len_checked_only_for_variants_with_patches():
+    # self-attention attends over one-step patches and never reads patch_len
+    cfg = ModelConfig(lookback=96, horizon=16, n_features=7, n_scales=3, patch_len=32,
+                      variant="self_attention")
+    forecast, outputs = model_forward(RNG.normal(size=(2, 96, 7)), init_params(cfg, seed=27), cfg)
+    assert forecast.shape == (2, 16, 7)
+    assert [r.patch_len for r in outputs.records] == [1, 1]
+    for variant in VARIANTS:
+        if variant != "self_attention":
+            with pytest.raises(ValueError, match="coarsest scale length 24 < patch_len 32"):
+                ModelConfig(lookback=96, horizon=16, n_features=7, n_scales=3, patch_len=32, variant=variant)
+
+
 def test_scale_lengths_strictly_decreasing():
     for t, m in [(96, 3), (96, 4), (17, 3), (16, 2)]:
         cfg = ModelConfig(lookback=t, horizon=4, n_features=2, n_scales=m, patch_len=1,
@@ -459,15 +474,16 @@ def test_model_gradients_pass_grad_check():
     assert report.passed, f"input: {report}"
 
 
-# per variant: (linear_interp, swap_last2, patchify) limits. Only the key
-# streams a variant reads are resampled and transposed (forecast and
-# seasonal: 2 each over scales 2 and 3); self-attention patchifies only
-# its input, into one-step patches.
+# per variant: (linear_interp, swap_last2, patchify, forward tape ops)
+# limits. Only the key streams a variant reads are resampled and
+# transposed (forecast and seasonal: 2 each over scales 2 and 3);
+# self-attention patchifies only its input, into one-step patches. Each
+# attention path is one fused softmax_attention op over scales 2 and 3.
 OP_LIMITS = {
-    "self_attention": (0, 14, 2),
-    "patch_attention": (0, 16, 2),
-    "cross_shared_key": (2, 18, 4),
-    "cross_dual_key": (4, 20, 6),
+    "self_attention": (0, 12, 2, 114),
+    "patch_attention": (0, 12, 2, 134),
+    "cross_shared_key": (2, 14, 4, 142),
+    "cross_dual_key": (4, 16, 6, 148),
 }
 
 
@@ -476,8 +492,8 @@ def test_forward_op_counts_at_acceptance_config(monkeypatch, variant):
     # one forward at lookback 96, 7 channels, 3 scales, patch 16: the fold
     # removes the moving averages, the channels-first layout most
     # transposes, and one patchify per attention stream the rest
-    n_interp, n_swap, n_patchify = OP_LIMITS[variant]
-    limits = {"moving_average": 0, "broadcast_to": 0, "linear_interp": n_interp,
+    n_interp, n_swap, n_patchify, n_ops = OP_LIMITS[variant]
+    limits = {"moving_average": 0, "broadcast_to": 0, "softmax_lastdim": 0, "linear_interp": n_interp,
               "patchify": n_patchify, "swap_last2": n_swap}
     calls = dict.fromkeys(limits, 0)
     modules = [m for name, m in sys.modules.items() if name.startswith("crossscalenet")]
@@ -493,10 +509,33 @@ def test_forward_op_counts_at_acceptance_config(monkeypatch, variant):
                 monkeypatch.setattr(module, name, counting)
 
     cfg = ModelConfig(lookback=96, horizon=16, n_features=7, n_scales=3, patch_len=16, variant=variant)
-    with Tape():
+    with Tape() as tape:
         model_forward(Tensor(RNG.normal(size=(2, 96, 7)), requires_grad=True), init_params(cfg, seed=25), cfg)
     for name, limit in limits.items():
         assert calls[name] <= limit, f"{name}: {calls[name]} calls > {limit}"
+    assert len(tape) <= n_ops, f"{len(tape)} tape ops > {n_ops}"
+
+
+def test_tape_free_self_attention_peak_memory():
+    # lookback 192, 2 scales: the (B, T_2, T_2) map is built in one array
+    # and shared with the record, so the forward's peak stays near one map
+    cfg = ModelConfig(lookback=192, horizon=16, n_features=7, n_scales=2, patch_len=16,
+                      variant="self_attention")
+    params = init_params(cfg, seed=26)
+    x = Tensor(RNG.normal(size=(32, 192, 7)))
+    with suspend_tape():
+        model_forward(x, params, cfg)  # fill the cached resampling matrices
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            forecast, outputs = model_forward(x, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    t2 = cfg.scale_lengths[1]
+    assert outputs.records[0].patch_weights.shape == (32, t2, t2)
+    map_bytes = 32 * t2 * t2 * 8
+    assert peak <= 2.5 * map_bytes, f"peak {peak / map_bytes:.2f} maps > 2.5"
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from crossscalenet.tensor import (
     patchify,
     reshape,
     sigmoid,
+    softmax_attention,
     softmax_lastdim,
     sqrt,
     sub,
@@ -132,6 +133,49 @@ def test_softmax_empty_axis_errors():
         softmax_lastdim(Tensor(np.zeros((2, 0))))
 
 
+def _unfused_attention(q, k, v, scale):
+    weights = softmax_lastdim(matmul(q, swap_last2(k)) * scale)
+    return matmul(weights, v), weights.data
+
+
+@pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["3d", "4d"])
+def test_softmax_attention_is_bit_identical_to_unfused_chain(batch):
+    rng = np.random.default_rng(12)
+    # 33 keys: long enough that a matmul against k instead of the same
+    # contiguous k^T the forward used rounds differently
+    qv, kv, vv = rng.normal(size=(*batch, 7, 5)), rng.normal(size=(*batch, 33, 5)), rng.normal(size=(*batch, 33, 4))
+    w = Tensor(rng.normal(size=(*batch, 7, 4)))
+    scale = 1.0 / np.sqrt(5)
+    results = []
+    for op in (softmax_attention, _unfused_attention):
+        with Tape() as tape:
+            q, k, v = (Tensor(a, requires_grad=True) for a in (qv, kv, vv))
+            context, weights = op(q, k, v, scale)
+            tape.backward(sum_all(mul(context, w)))
+        results.append((context.data, weights, q.grad, k.grad, v.grad))
+    for fused, chain in zip(*results):
+        assert np.array_equal(fused, chain)
+
+
+def test_softmax_attention_weights_are_read_only_rows():
+    context, weights = softmax_attention(Tensor(rand(2, 3, 4)), Tensor(rand(2, 6, 4)), Tensor(rand(2, 6, 5)), 0.5)
+    assert context.shape == (2, 3, 5) and weights.shape == (2, 3, 6)
+    assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+    with pytest.raises(ValueError):
+        weights[0, 0, 0] = 0.0
+
+
+def test_softmax_attention_shape_errors():
+    with pytest.raises(ShapeError):
+        softmax_attention(Tensor(rand(3, 4)), Tensor(rand(5, 3)), Tensor(rand(5, 2)), 1.0)  # D differs
+    with pytest.raises(ShapeError):
+        softmax_attention(Tensor(rand(3, 4)), Tensor(rand(5, 4)), Tensor(rand(6, 2)), 1.0)  # Tk differs
+    with pytest.raises(ShapeError):
+        softmax_attention(Tensor(rand(2, 3, 4)), Tensor(rand(3, 5, 4)), Tensor(rand(3, 5, 2)), 1.0)
+    with pytest.raises(ShapeError):
+        softmax_attention(Tensor(rand(4)), Tensor(rand(5, 4)), Tensor(rand(5, 2)), 1.0)
+
+
 def test_sigmoid_values_and_symmetry():
     assert sigmoid(Tensor(0.0)).item() == pytest.approx(0.5)
     x = rand(10)
@@ -233,6 +277,16 @@ def test_non_finite_input_rejected():
 def test_non_finite_op_output_names_the_op():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="mul"):
         mul(Tensor([1e200]), Tensor([1e200]))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["pos_inf", "neg_inf"])
+def test_softmax_attention_rejects_overflowing_scores(sign):
+    # q.k overflows to +inf or -inf in the first key; the second key's
+    # score is finite, so after the softmax a -inf score is only a 0 weight
+    q = Tensor([[1e200]])
+    k = Tensor([[sign * 1e200], [1.0]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="softmax_attention"):
+        softmax_attention(q, k, Tensor([[1.0], [2.0]]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +394,8 @@ _B2 = _const(3, 2)
 _V3 = _const(3)
 _C23 = _const(2, 3)
 _DEN = Tensor(rand(2, 3) + 3.0)
+_Q3, _K3, _V3D = _const(2, 3, 4), _const(2, 5, 4), _const(2, 5, 2)
+_Q4, _K4, _V4 = _const(2, 2, 3, 4), _const(2, 2, 5, 4), _const(2, 2, 5, 2)
 
 
 def _weighted(op, w: Tensor):
@@ -357,6 +413,13 @@ OP_CASES = [
     ("div_den", lambda x: sum_all(div(_C23, add(mul(x, 0.1), 3.0))), (2, 3)),
     ("softmax", _weighted(softmax_lastdim, _const(5,)), (5,)),
     ("softmax_sq", lambda x: sum_all(mul(softmax_lastdim(x), softmax_lastdim(x))), (4,)),
+    # softmax_attention: scale != 1, T_q != T_k, one operand at a time
+    ("softmax_attention_q", _weighted(lambda x: softmax_attention(x, _K3, _V3D, 0.7)[0], _const(2, 3, 2)), (2, 3, 4)),
+    ("softmax_attention_k", _weighted(lambda x: softmax_attention(_Q3, x, _V3D, 0.7)[0], _const(2, 3, 2)), (2, 5, 4)),
+    ("softmax_attention_v", _weighted(lambda x: softmax_attention(_Q3, _K3, x, 0.7)[0], _const(2, 3, 2)), (2, 5, 2)),
+    ("softmax_attention_q4", _weighted(lambda x: softmax_attention(x, _K4, _V4, 1.3)[0], _const(2, 2, 3, 2)), (2, 2, 3, 4)),
+    ("softmax_attention_k4", _weighted(lambda x: softmax_attention(_Q4, x, _V4, 1.3)[0], _const(2, 2, 3, 2)), (2, 2, 5, 4)),
+    ("softmax_attention_v4", _weighted(lambda x: softmax_attention(_Q4, _K4, x, 1.3)[0], _const(2, 2, 3, 2)), (2, 2, 5, 2)),
     ("sigmoid", _weighted(sigmoid, _const(6,)), (6,)),
     ("gelu", _weighted(gelu, _const(7,)), (7,)),
     ("sqrt", lambda x: sum_all(sqrt(add(mul(x, x), 1.0))), (5,)),
