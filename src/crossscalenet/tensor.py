@@ -2,11 +2,12 @@
 
 The numeric layer is deliberately small: it provides exactly the dense
 operations the forecaster needs (batched matmul, pointwise arithmetic,
-stable softmax/sigmoid, fused scaled dot-product attention, time-axis
-resampling, patch extraction) plus a define-by-run gradient tape that
-is rebuilt for every forward/backward pass. Arrays are row-major float64
-throughout. Broadcasting is limited to numpy's trailing-extent rule
-(missing leading axes and size-1 axes stretch); anything else raises.
+stable softmax/sigmoid, fused scaled dot-product attention in
+cache-sized tiles, time-axis resampling, patch extraction) plus a
+define-by-run gradient tape that is rebuilt for every forward/backward
+pass. Arrays are row-major float64 throughout. Broadcasting is limited
+to numpy's trailing-extent rule (missing leading axes and size-1 axes
+stretch); anything else raises.
 """
 
 from __future__ import annotations
@@ -383,16 +384,23 @@ def softmax_lastdim(x) -> Tensor:
     return out
 
 
+# Bytes of attention weights per forward tile: half of a 2 MiB per-core
+# L2, so the scores stay in cache from their matmul to the one with v.
+_TILE_BYTES = 1 << 20
+
+
 def softmax_attention(q, k, v, scale: float) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention ``softmax(q @ k^T * scale) @ v`` as one tape op.
 
     Takes q (..., Tq, D), k (..., Tk, D) and v (..., Tk, Dv) with batch
     extents as in ``matmul``. Returns the context (..., Tq, Dv) and the
     (..., Tq, Tk) weights as a read-only ndarray, which the backward rule
-    also reads. The scores are built in one array, then scaled and
-    normalized in place. Values and gradients equal those of the chain
-    ``matmul(q, swap_last2(k)) * scale -> softmax_lastdim -> matmul(., v)``
-    bit for bit: the backward runs that chain's numpy calls in its order.
+    also reads. The forward walks the leading batch axis in tiles of at
+    most ``_TILE_BYTES`` of weights, each scored, scaled, scanned for
+    NaN/Inf, normalized in place and multiplied by v while in cache.
+    Values and gradients equal those of the chain ``matmul(q,
+    swap_last2(k)) * scale -> softmax_lastdim -> matmul(., v)`` bit for
+    bit: each batch matrix takes that chain's numpy calls, in its order.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -400,17 +408,26 @@ def softmax_attention(q, k, v, scale: float) -> tuple[Tensor, np.ndarray]:
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or k.shape[-2] < 1:
         raise ShapeError(f"softmax_attention: q {q.shape}, k {k.shape}, v {v.shape} do not align")
     try:
-        np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+        batch = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     except ValueError as exc:
         raise ShapeError(f"softmax_attention batch extents do not broadcast: {q.shape}, {k.shape}, {v.shape}") from exc
     kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    w = np.matmul(q.data, kt)
-    w *= scale
-    # scores before weights: exp(-inf) = 0 would hide a -inf score
-    _check_finite(w, "softmax_attention scores")
-    _check_finite(_softmax_rows(w), "softmax_attention weights")
+    w = np.empty((*batch, q.shape[-2], k.shape[-2]))
+    context = np.empty((*batch, q.shape[-2], v.shape[-1]))
+    lead = batch or (1,)  # a 2-d call is one tile
+    qb, ktb, vb = (np.broadcast_to(a, (*lead, *a.shape[-2:])) for a in (q.data, kt, v.data))
+    wb, cb = w.reshape(*lead, *w.shape[-2:]), context.reshape(*lead, *context.shape[-2:])
+    step = max(1, _TILE_BYTES // max(1, wb[:1].nbytes))
+    for lo in range(0, lead[0], step):
+        tile = slice(lo, lo + step)
+        s = np.matmul(qb[tile], ktb[tile], out=wb[tile])
+        s *= scale
+        # scores only: exp(-inf) = 0 would hide a -inf score, and finite
+        # scores give weights in [0, 1] (each row's max adds exp(0) = 1)
+        _check_finite(s, "softmax_attention scores")
+        np.matmul(_softmax_rows(s), vb[tile], out=cb[tile])
     w.setflags(write=False)
-    out, tape = _result(np.matmul(w, v.data), (q, k, v), "softmax_attention")
+    out, tape = _result(context, (q, k, v), "softmax_attention")
     if tape is not None:
         qd, vd = q.data, v.data
         qsh, ksh, vsh = q.shape, k.shape, v.shape
@@ -608,21 +625,10 @@ def take_lastdim(x, indices: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # time-axis linear resampling ops
 #
-# Each of these is a fixed linear map along the last axis, applied as
-# out = x @ W.T with a precomputed coefficient matrix, so the backward
-# rule is exactly g @ W. The matrix builders are the auditable part.
-
-
-@lru_cache(maxsize=None)
-def _downsample_matrix(length: int, factor: int) -> np.ndarray:
-    out_len = -(-length // factor)
-    w = np.zeros((out_len, length))
-    for row in range(out_len):
-        lo = row * factor
-        hi = min(lo + factor, length)
-        w[row, lo:hi] = 1.0 / (hi - lo)
-    w.setflags(write=False)
-    return w
+# Each of these is a fixed linear map W along the last axis, so the
+# backward rule is exactly g @ W. Moving average and interpolation apply
+# out = x @ W.T with an auditable precomputed matrix; window means, whose
+# W is almost all zeros, sum strided pairs instead.
 
 
 @lru_cache(maxsize=None)
@@ -671,13 +677,31 @@ def _apply_time_linear(x: Tensor, w: np.ndarray, name: str) -> Tensor:
 def avg_downsample(x, factor: int) -> Tensor:
     """Non-overlapping window means along the last axis.
 
-    A ragged tail window is averaged over its actual length. Factor 1 is
-    the identity.
+    A ragged tail window is averaged over its actual length; factor 1 is
+    the identity. Pair sums of strided slices halve the window width
+    while it is even, any odd rest is summed, and each sum is scaled by
+    1/length: for factor 2 that is ``x @ W.T`` exactly, for factor 4 the
+    order of an OpenBLAS product; others may differ in the last bits.
+    The backward, ``g * (1/length)`` repeated per window, is ``g @ W``.
     """
     x = _as_tensor(x)
     if factor < 1:
         raise ShapeError(f"avg_downsample: factor must be >= 1, got {factor}")
-    return _apply_time_linear(x, _downsample_matrix(x.shape[-1], int(factor)), "avg_downsample")
+    f = int(factor)
+    n, tail = divmod(x.shape[-1], f)
+    s, width = x.data[..., : n * f], f
+    while width % 2 == 0:
+        s, width = s[..., 0::2] + s[..., 1::2], width // 2
+    if width > 1:
+        s = s.reshape(*s.shape[:-1], n, width).sum(axis=-1)
+    if tail:
+        s = np.concatenate([s, x.data[..., n * f :].sum(axis=-1, keepdims=True)], axis=-1)
+    sizes = np.array([f] * n + [tail] * bool(tail))
+    inv = 1.0 / sizes
+    out, tape = _result(s * inv, (x,), "avg_downsample")
+    if tape is not None:
+        tape.record((x,), out, lambda g: (np.repeat(g * inv, sizes, axis=-1),))
+    return out
 
 
 def moving_average(x, kernel: int) -> Tensor:

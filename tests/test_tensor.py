@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crossscalenet import tensor
 from crossscalenet.tensor import (
     GradCheckReport,
     NonFiniteError,
@@ -138,23 +139,32 @@ def _unfused_attention(q, k, v, scale):
     return matmul(weights, v), weights.data
 
 
-@pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["3d", "4d"])
-def test_softmax_attention_is_bit_identical_to_unfused_chain(batch):
+@pytest.mark.parametrize(
+    "q_batch,kv_batch",
+    [((3,), (3,)), ((2, 3), (2, 3)), ((1,), (5,)), ((), ())],
+    ids=["3d", "4d", "q_broadcast", "2d"],
+)
+def test_softmax_attention_is_bit_identical_to_unfused_chain(q_batch, kv_batch, monkeypatch):
     rng = np.random.default_rng(12)
     # 33 keys: long enough that a matmul against k instead of the same
     # contiguous k^T the forward used rounds differently
-    qv, kv, vv = rng.normal(size=(*batch, 7, 5)), rng.normal(size=(*batch, 33, 5)), rng.normal(size=(*batch, 33, 4))
+    qv, kv, vv = rng.normal(size=(*q_batch, 7, 5)), rng.normal(size=(*kv_batch, 33, 5)), rng.normal(size=(*kv_batch, 33, 4))
+    batch = np.broadcast_shapes(q_batch, kv_batch)
     w = Tensor(rng.normal(size=(*batch, 7, 4)))
     scale = 1.0 / np.sqrt(5)
-    results = []
-    for op in (softmax_attention, _unfused_attention):
-        with Tape() as tape:
-            q, k, v = (Tensor(a, requires_grad=True) for a in (qv, kv, vv))
-            context, weights = op(q, k, v, scale)
-            tape.backward(sum_all(mul(context, w)))
-        results.append((context.data, weights, q.grad, k.grad, v.grad))
-    for fused, chain in zip(*results):
-        assert np.array_equal(fused, chain)
+    row_bytes = 8 * 7 * 33 * int(np.prod(batch[1:]))
+    # one tile, 1-row tiles, and 2-row tiles (ragged at a leading extent of 3 or 5)
+    for tile_bytes in (tensor._TILE_BYTES, row_bytes, 2 * row_bytes + 8):
+        monkeypatch.setattr(tensor, "_TILE_BYTES", tile_bytes)
+        results = []
+        for op in (softmax_attention, _unfused_attention):
+            with Tape() as tape:
+                q, k, v = (Tensor(a, requires_grad=True) for a in (qv, kv, vv))
+                context, weights = op(q, k, v, scale)
+                tape.backward(sum_all(mul(context, w)))
+            results.append((context.data, weights, q.grad, k.grad, v.grad))
+        for fused, chain in zip(*results):
+            assert np.array_equal(fused, chain)
 
 
 def test_softmax_attention_weights_are_read_only_rows():
@@ -194,6 +204,48 @@ def test_mean_axis_values():
     assert np.allclose(const.data, 2.5)
     with pytest.raises(ShapeError):
         mean_axis(Tensor(rand(2, 2)), axis=2)
+
+
+def _downsample_matrix(length: int, factor: int) -> np.ndarray:
+    """The window-mean map as a dense (ceil(T/f), T) matrix: pooled = x @ W.T."""
+    out_len = -(-length // factor)
+    w = np.zeros((out_len, length))
+    for row in range(out_len):
+        lo = row * factor
+        hi = min(lo + factor, length)
+        w[row, lo:hi] = 1.0 / (hi - lo)
+    return w
+
+
+def _downsample_against_matrix(length: int, factor: int):
+    rng = np.random.default_rng(length * 10 + factor)
+    x = rng.normal(size=(3, 7, length))
+    w = _downsample_matrix(length, factor)
+    g = rng.normal(size=(3, 7, w.shape[0]))
+    with Tape() as tape:
+        xt = Tensor(x, requires_grad=True)
+        out = avg_downsample(xt, factor)
+        tape.backward(sum_all(mul(out, Tensor(g))))
+    assert np.array_equal(xt.grad, g @ w)  # one product per input either way
+    return x, out.data, w
+
+
+@pytest.mark.parametrize("length", [96, 336])
+@pytest.mark.parametrize("factor", [2, 4])
+def test_avg_downsample_matches_matrix_exactly(length, factor):
+    # the model's factors: factor 2 is one pair sum, and factor 4's
+    # (x0 + x1) + (x2 + x3) is the order OpenBLAS sums a 4-window in
+    x, pooled, w = _downsample_against_matrix(length, factor)
+    assert np.array_equal(pooled, x @ w.T)
+
+
+@pytest.mark.parametrize("length", [97, 99, 101, 5])
+@pytest.mark.parametrize("factor", [3, 8])
+def test_avg_downsample_matches_matrix_within_4_ulp(length, factor):
+    # other summation orders round differently: bound the gap by ulps of
+    # the window mean of |x|, which scales the rounding of any order
+    x, pooled, w = _downsample_against_matrix(length, factor)
+    assert np.all(np.abs(pooled - x @ w.T) <= 4 * np.spacing(np.abs(x) @ w.T))
 
 
 def test_avg_downsample_rules():
@@ -287,6 +339,30 @@ def test_softmax_attention_rejects_overflowing_scores(sign):
     k = Tensor([[sign * 1e200], [1.0]])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="softmax_attention"):
         softmax_attention(q, k, Tensor([[1.0], [2.0]]), 1.0)
+
+
+def test_softmax_attention_rejects_non_finite_score_in_last_tile(monkeypatch):
+    # a -inf score is only a 0 weight after the softmax, so only the
+    # scores scan of the last tile can catch it
+    monkeypatch.setattr(tensor, "_TILE_BYTES", 8 * 2)  # one (1, 2) map per tile
+    q = np.ones((3, 1, 1))
+    q[2] = 1e200
+    k = Tensor(np.broadcast_to([[-1e200], [1.0]], (3, 2, 1)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="softmax_attention"):
+        softmax_attention(Tensor(q), k, Tensor(np.ones((3, 2, 1))), 1.0)
+
+
+def test_softmax_attention_weights_stay_finite_when_row_shift_overflows():
+    # finite scores spanning about +-1e308: score - row max overflows to
+    # -inf, whose exp is a 0 weight, and the row max still gives weight 1
+    q = Tensor([[1.0], [-1.0], [0.5]])
+    k = Tensor([[1.5e308], [-1.5e308], [0.0]])
+    with np.errstate(over="ignore"):
+        context, weights = softmax_attention(q, k, Tensor([[1.0], [2.0], [3.0]]), 1.0)
+    assert np.all(np.isfinite(weights)) and np.all((weights >= 0.0) & (weights <= 1.0))
+    assert np.array_equal(weights.sum(axis=-1), np.ones(3))
+    assert np.array_equal(weights[:2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert np.all(np.isfinite(context.data))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +503,7 @@ OP_CASES = [
     ("mean_axis1", _weighted(lambda x: mean_axis(x, 1), _const(3,)), (3, 4)),
     ("mean_all", lambda x: mul(mean_all(mul(x, x)), 3.0), (3, 4)),
     ("avg_downsample", _weighted(lambda x: avg_downsample(x, 2), _const(2, 4)), (2, 7)),
+    ("avg_downsample_f4_ragged", _weighted(lambda x: avg_downsample(x, 4), _const(2, 3)), (2, 10)),
     ("moving_average", _weighted(lambda x: moving_average(x, 3), _const(2, 6)), (2, 6)),
     ("linear_interp_up", _weighted(lambda x: linear_interp(x, 9), _const(2, 9)), (2, 5)),
     ("linear_interp_down", _weighted(lambda x: linear_interp(x, 3), _const(2, 3)), (2, 5)),
