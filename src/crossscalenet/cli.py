@@ -52,7 +52,7 @@ def _resolve(args: argparse.Namespace, explicit: set[str]) -> dict:
         file_values = json.loads(Path(config_path).read_text())
         for key, value in file_values.items():
             if key not in resolved:
-                raise SystemExit(f"unknown config key {key!r} in {config_path}")
+                raise ValueError(f"unknown config key {key!r} in {config_path}")
             if key not in explicit:
                 resolved[key] = value
     # a config file may set "seed": null; 0 is a seed like any other
@@ -93,7 +93,7 @@ def _load_spec(resolved: dict) -> SynthSpec:
         return SynthSpec.from_dict(raw)
     name = resolved["dataset"]
     if name not in BUILTIN_NAMES:
-        raise SystemExit(f"unknown dataset {name!r}; expected one of {BUILTIN_NAMES} or --spec FILE")
+        raise ValueError(f"unknown dataset {name!r}; expected one of {BUILTIN_NAMES} or --spec FILE")
     return builtin_spec(name, n_samples=resolved["samples"] or 10_000, seed=resolved["seed"])
 
 
@@ -181,19 +181,28 @@ def cmd_explain(args, explicit: set[str]) -> int:
     model, extra = CrossScaleNet.load(resolved["checkpoint"])
     lookback, horizon = model.config.lookback, model.config.horizon
 
-    # a builtin dataset is regenerated with the seed it was trained on
-    dataset, _ = _dataset_for({**resolved, "lookback": lookback, "horizon": horizon,
+    # a builtin dataset is regenerated with the seed it was trained on, and
+    # without --target the data is windowed on the column the model learned
+    trained_on = extra.get("target_columns")
+    target = resolved.get("target")
+    if target is None and trained_on:
+        target = trained_on[0]
+    dataset, _ = _dataset_for({**resolved, "lookback": lookback, "horizon": horizon, "target": target,
                                "seed": int(extra.get("train_seed", resolved["seed"]))})
     if dataset.n_columns != model.config.n_features:
-        raise SystemExit(
+        raise ValueError(
             f"checkpoint expects {model.config.n_features} columns, data has {dataset.n_columns}"
+        )
+    if trained_on is not None and dataset.target_columns != list(trained_on):
+        raise ValueError(
+            f"checkpoint was trained on target columns {trained_on}, data targets {dataset.target_columns}"
         )
 
     truth = None
     if resolved.get("truth"):
         truth = load_mask(resolved["truth"])
         if truth.mask.shape[0] != lookback:
-            raise SystemExit(
+            raise ValueError(
                 f"truth mask lookback {truth.mask.shape[0]} != checkpoint lookback {lookback}"
             )
 
@@ -331,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        # no numpy warnings: tensor._result names the op of a blowup in one NonFiniteError
+        # no numpy warnings: tensor._op names the op of a blowup in one NonFiniteError
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args, _explicit_flags(args, argv))
     except (ValueError, FileNotFoundError, NonFiniteError, TrainingDiverged) as exc:

@@ -45,7 +45,6 @@ class SaliencyVector:
     """Nonnegative per-position importance over the lookback, max-normalized."""
 
     values: np.ndarray
-    normalization: str = "max"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -93,7 +92,6 @@ def collect_records(
     model: CrossScaleNet,
     windows: np.ndarray,
     batch_size: int = 256,
-    max_windows: int | None = None,
 ) -> list[AttentionRecord]:
     """Forward a stack of windows in batches and average the attention per scale.
 
@@ -103,8 +101,6 @@ def collect_records(
     number of windows. A mean of row-stochastic matrices is row-stochastic,
     so the records still ``validate()``. No windows give no records.
     """
-    if max_windows is not None:
-        windows = windows[:max_windows]
     totals: dict[int, AttentionRecord] = {}
     with suspend_tape():
         for lo in range(0, len(windows), batch_size):
@@ -424,7 +420,7 @@ class ExplainReport:
             "lookback": self.lookback,
             "ratios": list(self.ratios),
             "saliency": [float(v) for v in self.saliency.values],
-            "saliency_normalization": self.saliency.normalization,
+            "saliency_normalization": "max",
             "attribution_map": [[float(v) for v in row] for row in self.attribution_map],
             "feature_importance": {
                 "ablation": self.feature_importance_ablation,
@@ -450,6 +446,8 @@ def build_report(
     ig_steps: int = 64,
     ig_windows: int = 16,
 ) -> ExplainReport:
+    if dataset.n_windows(split) == 0:
+        raise ValueError(f"split {split!r} is empty")
     saliency = model_saliency(model, dataset, split)
     attribution = ig_attribution_map(model, dataset, split, steps=ig_steps, n_windows=ig_windows)
 

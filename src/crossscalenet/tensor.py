@@ -8,6 +8,10 @@ define-by-run gradient tape that is rebuilt for every forward/backward
 pass. Arrays are row-major float64 throughout. Broadcasting is limited
 to numpy's trailing-extent rule (missing leading axes and size-1 axes
 stretch); anything else raises.
+
+Op protocol: every op computes its output array and a backward rule over
+arrays captured as it runs, then returns ``_op(data, inputs, name,
+rule)``, which alone checks the output and records it on the active tape.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,19 +48,17 @@ class Tensor:
     """A dense float64 array, optionally tracked on the active gradient tape.
 
     ``data`` is a C-contiguous ndarray (shape plus row-major flat buffer).
-    ``node_id`` is assigned lazily by the tape a tensor first participates
-    in; it is only meaningful together with that tape. ``grad`` is filled
-    in by ``Tape.backward`` for every requires_grad tensor on the tape.
+    ``grad`` is filled in by ``Tape.backward`` for every requires_grad
+    tensor on the tape.
     """
 
-    __slots__ = ("data", "requires_grad", "node_id", "grad")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         _check_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.node_id: int | None = None
         self.grad: np.ndarray | None = None
 
     @property
@@ -117,20 +119,9 @@ class Tensor:
         return matmul(self, other)
 
 
+# Maps the output gradient to one gradient contribution per input, None
+# where an input needs no gradient.
 BackwardRule = Callable[[np.ndarray], Sequence[np.ndarray | None]]
-
-
-@dataclass
-class TapeOp:
-    """One recorded operation: input node ids, output node id, backward rule.
-
-    The rule maps the output gradient to per-input gradient contributions
-    (aligned with ``input_ids``, None where an input needs no gradient).
-    """
-
-    input_ids: tuple[int, ...]
-    output_id: int
-    backward: BackwardRule
 
 
 _local = threading.local()
@@ -163,12 +154,14 @@ class Tape:
 
     Single writer: one pass owns its tape exclusively. Operations are
     appended in execution order, so inputs always precede the op that
-    consumes them (topological order by construction).
+    consumes them (topological order by construction). Tensors are keyed
+    by ``id()``; the tape holds every tensor it records, so no id is
+    reused while it exists.
     """
 
     def __init__(self):
-        self._tensors: list[Tensor] = []
-        self._ops: list[TapeOp] = []
+        self._tensors: dict[int, Tensor] = {}
+        self._ops: list[tuple[tuple[int, ...], int, BackwardRule]] = []
 
     def __enter__(self) -> "Tape":
         _stack().append(self)
@@ -184,49 +177,35 @@ class Tape:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def register(self, t: Tensor) -> int:
-        nid = t.node_id
-        if nid is not None and nid < len(self._tensors) and self._tensors[nid] is t:
-            return nid
-        nid = len(self._tensors)
-        self._tensors.append(t)
-        t.node_id = nid
-        return nid
-
     def record(self, inputs: Sequence[Tensor], output: Tensor, backward: BackwardRule) -> None:
-        input_ids = tuple(self.register(t) for t in inputs)
-        output_id = self.register(output)
-        self._ops.append(TapeOp(input_ids, output_id, backward))
-
-    def _owns(self, t: Tensor) -> bool:
-        nid = t.node_id
-        return nid is not None and nid < len(self._tensors) and self._tensors[nid] is t
+        for t in (*inputs, output):
+            self._tensors.setdefault(id(t), t)
+        self._ops.append((tuple(id(t) for t in inputs), id(output), backward))
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Reverse-topological gradient accumulation from a scalar loss.
 
-        Gradients sum over fan-out. Returns the node-id -> gradient map and
-        stores gradients on every requires_grad tensor registered on this
-        tape (zeros if the loss does not reach it).
+        Gradients sum over fan-out. Returns the ``id(tensor)`` -> gradient
+        map and stores gradients on every requires_grad tensor recorded on
+        this tape (zeros if the loss does not reach it).
         """
         if loss.size != 1:
             raise TapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-        if not self._owns(loss):
+        if self._tensors.get(id(loss)) is not loss:
             raise TapeError("loss tensor is detached from this tape")
-        grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-        for op in reversed(self._ops):
-            gout = grads.get(op.output_id)
+        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        for input_ids, output_id, rule in reversed(self._ops):
+            gout = grads.get(output_id)
             if gout is None:
                 continue
-            contribs = op.backward(gout)
-            for iid, contrib in zip(op.input_ids, contribs):
+            for iid, contrib in zip(input_ids, rule(gout)):
                 if contrib is None:
                     continue
                 acc = grads.get(iid)
                 grads[iid] = contrib if acc is None else acc + contrib
-        for t in self._tensors:
+        for tid, t in self._tensors.items():
             if t.requires_grad:
-                g = grads.get(t.node_id)
+                g = grads.get(tid)
                 t.grad = np.zeros_like(t.data) if g is None else np.asarray(g)
         return grads
 
@@ -255,13 +234,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _result(data: np.ndarray, inputs: Sequence[Tensor], context: str) -> tuple[Tensor, "Tape | None"]:
+def _op(data: np.ndarray, inputs: Sequence[Tensor], name: str, rule: BackwardRule) -> Tensor:
+    """Wrap an op's output and record it when a tape is active and an input needs a gradient."""
     try:
         out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     except NonFiniteError:
-        raise NonFiniteError(f"non-finite values produced by {context}") from None
+        raise NonFiniteError(f"non-finite values produced by {name}") from None
     tape = active_tape() if out.requires_grad else None
-    return out, tape
+    if tape is not None:
+        tape.record(inputs, out, rule)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +253,18 @@ def _result(data: np.ndarray, inputs: Sequence[Tensor], context: str) -> tuple[T
 def _binary(a, b, fwd, grad_a, grad_b, name: str) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
+    ad, bd = a.data, b.data
     try:
-        data = fwd(a.data, b.data)
+        data = fwd(ad, bd)
     except ValueError as exc:
         raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    out, tape = _result(data, (a, b), name)
-    if tape is not None:
-        ad, bd = a.data, b.data
-        ash, bsh = a.shape, b.shape
-        need_a, need_b = a.requires_grad, b.requires_grad
 
-        def rule(g: np.ndarray):
-            ga = _unbroadcast(grad_a(g, ad, bd), ash) if need_a else None
-            gb = _unbroadcast(grad_b(g, ad, bd), bsh) if need_b else None
-            return (ga, gb)
+    def rule(g: np.ndarray):
+        ga = _unbroadcast(grad_a(g, ad, bd), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(grad_b(g, ad, bd), b.shape) if b.requires_grad else None
+        return (ga, gb)
 
-        tape.record((a, b), out, rule)
-    return out
+    return _op(data, (a, b), name, rule)
 
 
 def add(a, b) -> Tensor:
@@ -328,26 +305,18 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
     try:
-        data = np.matmul(a.data, b.data)
+        data = np.matmul(ad, bd)
     except ValueError as exc:
         raise ShapeError(f"matmul batch extents do not broadcast: {a.shape} @ {b.shape}") from exc
-    out, tape = _result(data, (a, b), "matmul")
-    if tape is not None:
-        ad, bd = a.data, b.data
-        ash, bsh = a.shape, b.shape
-        need_a, need_b = a.requires_grad, b.requires_grad
 
-        def rule(g: np.ndarray):
-            ga = gb = None
-            if need_a:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ash)
-            if need_b:
-                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bsh)
-            return (ga, gb)
+    def rule(g: np.ndarray):
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape) if b.requires_grad else None
+        return (ga, gb)
 
-        tape.record((a, b), out, rule)
-    return out
+    return _op(data, (a, b), "matmul", rule)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +347,7 @@ def softmax_lastdim(x) -> Tensor:
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError("softmax_lastdim: empty last axis")
     s = _softmax_rows(x.data.copy())
-    out, tape = _result(s, (x,), "softmax_lastdim")
-    if tape is not None:
-        tape.record((x,), out, lambda g: (_softmax_grad(g, s),))
-    return out
+    return _op(s, (x,), "softmax_lastdim", lambda g: (_softmax_grad(g, s),))
 
 
 # Bytes of attention weights per forward tile: half of a 2 MiB per-core
@@ -411,11 +377,12 @@ def softmax_attention(q, k, v, scale: float) -> tuple[Tensor, np.ndarray]:
         batch = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     except ValueError as exc:
         raise ShapeError(f"softmax_attention batch extents do not broadcast: {q.shape}, {k.shape}, {v.shape}") from exc
+    qd, vd = q.data, v.data
     kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
     w = np.empty((*batch, q.shape[-2], k.shape[-2]))
     context = np.empty((*batch, q.shape[-2], v.shape[-1]))
     lead = batch or (1,)  # a 2-d call is one tile
-    qb, ktb, vb = (np.broadcast_to(a, (*lead, *a.shape[-2:])) for a in (q.data, kt, v.data))
+    qb, ktb, vb = (np.broadcast_to(a, (*lead, *a.shape[-2:])) for a in (qd, kt, vd))
     wb, cb = w.reshape(*lead, *w.shape[-2:]), context.reshape(*lead, *context.shape[-2:])
     step = max(1, _TILE_BYTES // max(1, wb[:1].nbytes))
     for lo in range(0, lead[0], step):
@@ -427,26 +394,20 @@ def softmax_attention(q, k, v, scale: float) -> tuple[Tensor, np.ndarray]:
         _check_finite(s, "softmax_attention scores")
         np.matmul(_softmax_rows(s), vb[tile], out=cb[tile])
     w.setflags(write=False)
-    out, tape = _result(context, (q, k, v), "softmax_attention")
-    if tape is not None:
-        qd, vd = q.data, v.data
-        qsh, ksh, vsh = q.shape, k.shape, v.shape
-        need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
-        def rule(g: np.ndarray):
-            gq = gk = gv = None
-            if need_q or need_k:
-                gs = _softmax_grad(np.matmul(g, np.swapaxes(vd, -1, -2)), w) * scale
-                if need_q:
-                    gq = _unbroadcast(np.matmul(gs, np.swapaxes(kt, -1, -2)), qsh)
-                if need_k:
-                    gk = _unbroadcast(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2), ksh)
-            if need_v:
-                gv = _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), vsh)
-            return (gq, gk, gv)
+    def rule(g: np.ndarray):
+        gq = gk = gv = None
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_grad(np.matmul(g, np.swapaxes(vd, -1, -2)), w) * scale
+            if q.requires_grad:
+                gq = _unbroadcast(np.matmul(gs, np.swapaxes(kt, -1, -2)), q.shape)
+            if k.requires_grad:
+                gk = _unbroadcast(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2), k.shape)
+        if v.requires_grad:
+            gv = _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape)
+        return (gq, gk, gv)
 
-        tape.record((q, k, v), out, rule)
-    return out, w
+    return _op(context, (q, k, v), "softmax_attention", rule), w
 
 
 def sigmoid(x) -> Tensor:
@@ -457,10 +418,7 @@ def sigmoid(x) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     s[~pos] = ex / (1.0 + ex)
-    out, tape = _result(s, (x,), "sigmoid")
-    if tape is not None:
-        tape.record((x,), out, lambda g: (g * s * (1.0 - s),))
-    return out
+    return _op(s, (x,), "sigmoid", lambda g: (g * s * (1.0 - s),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -473,15 +431,12 @@ def gelu(x) -> Tensor:
     xd = x.data
     sq = xd * xd
     t = np.tanh(_GELU_C * (xd + _GELU_A * sq * xd))
-    out, tape = _result(0.5 * xd * (1.0 + t), (x,), "gelu")
-    if tape is not None:
 
-        def rule(g: np.ndarray):
-            dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * sq)
-            return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner),)
+    def rule(g: np.ndarray):
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * sq)
+        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner),)
 
-        tape.record((x,), out, rule)
-    return out
+    return _op(0.5 * xd * (1.0 + t), (x,), "gelu", rule)
 
 
 def sqrt(x) -> Tensor:
@@ -490,10 +445,7 @@ def sqrt(x) -> Tensor:
     if np.any(x.data < 0.0):
         raise NonFiniteError("sqrt of negative input")
     r = np.sqrt(x.data)
-    out, tape = _result(r, (x,), "sqrt")
-    if tape is not None:
-        tape.record((x,), out, lambda g: (g * 0.5 / r,))
-    return out
+    return _op(r, (x,), "sqrt", lambda g: (g * 0.5 / r,))
 
 
 # ---------------------------------------------------------------------------
@@ -511,44 +463,24 @@ def mean_axis(x, axis: int) -> Tensor:
     x = _as_tensor(x)
     axis = _normalize_axis(axis, x.ndim, "mean_axis")
     n = x.shape[axis]
-    out, tape = _result(x.data.mean(axis=axis), (x,), "mean_axis")
-    if tape is not None:
-        shape = x.shape
-
-        def rule(g: np.ndarray):
-            return (np.broadcast_to(np.expand_dims(g / n, axis), shape),)
-
-        tape.record((x,), out, rule)
-    return out
+    return _op(x.data.mean(axis=axis), (x,), "mean_axis",
+               lambda g: (np.broadcast_to(np.expand_dims(g / n, axis), x.shape),))
 
 
 def sum_all(x) -> Tensor:
     x = _as_tensor(x)
-    out, tape = _result(np.asarray(x.data.sum()), (x,), "sum_all")
-    if tape is not None:
-        shape = x.shape
-        tape.record((x,), out, lambda g: (np.broadcast_to(g, shape),))
-    return out
+    return _op(np.asarray(x.data.sum()), (x,), "sum_all", lambda g: (np.broadcast_to(g, x.shape),))
 
 
 def mean_all(x) -> Tensor:
     x = _as_tensor(x)
     n = x.size
-    out, tape = _result(np.asarray(x.data.mean()), (x,), "mean_all")
-    if tape is not None:
-        shape = x.shape
-        tape.record((x,), out, lambda g: (np.broadcast_to(g / n, shape),))
-    return out
+    return _op(np.asarray(x.data.mean()), (x,), "mean_all", lambda g: (np.broadcast_to(g / n, x.shape),))
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
-    shape = tuple(shape)
-    out, tape = _result(x.data.reshape(shape), (x,), "reshape")
-    if tape is not None:
-        orig = x.shape
-        tape.record((x,), out, lambda g: (g.reshape(orig),))
-    return out
+    return _op(x.data.reshape(tuple(shape)), (x,), "reshape", lambda g: (g.reshape(x.shape),))
 
 
 def swap_last2(x) -> Tensor:
@@ -556,10 +488,7 @@ def swap_last2(x) -> Tensor:
     x = _as_tensor(x)
     if x.ndim < 2:
         raise ShapeError("swap_last2 needs a >=2-d tensor")
-    out, tape = _result(np.swapaxes(x.data, -1, -2), (x,), "swap_last2")
-    if tape is not None:
-        tape.record((x,), out, lambda g: (np.swapaxes(g, -1, -2),))
-    return out
+    return _op(np.swapaxes(x.data, -1, -2), (x,), "swap_last2", lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def broadcast_to(x, shape: Sequence[int]) -> Tensor:
@@ -570,11 +499,7 @@ def broadcast_to(x, shape: Sequence[int]) -> Tensor:
         data = np.broadcast_to(x.data, shape)
     except ValueError as exc:
         raise ShapeError(f"cannot broadcast {x.shape} to {shape}") from exc
-    out, tape = _result(np.ascontiguousarray(data), (x,), "broadcast_to")
-    if tape is not None:
-        orig = x.shape
-        tape.record((x,), out, lambda g: (_unbroadcast(g, orig),))
-    return out
+    return _op(np.ascontiguousarray(data), (x,), "broadcast_to", lambda g: (_unbroadcast(g, x.shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -587,18 +512,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         data = np.concatenate([t.data for t in ts], axis=axis)
     except ValueError as exc:
         raise ShapeError("concat: incompatible shapes") from exc
-    out, tape = _result(data, ts, "concat")
-    if tape is not None:
-        extents = [t.shape[axis] for t in ts]
-        offsets = np.cumsum(extents)[:-1]
-        needs = [t.requires_grad for t in ts]
 
-        def rule(g: np.ndarray):
-            pieces = np.split(g, offsets, axis=axis)
-            return tuple(p if need else None for p, need in zip(pieces, needs))
+    def rule(g: np.ndarray):
+        pieces = np.split(g, np.cumsum([t.shape[axis] for t in ts])[:-1], axis=axis)
+        return tuple(p if t.requires_grad else None for p, t in zip(pieces, ts))
 
-        tape.record(ts, out, rule)
-    return out
+    return _op(data, ts, "concat", rule)
 
 
 def take_lastdim(x, indices: Sequence[int]) -> Tensor:
@@ -608,18 +527,14 @@ def take_lastdim(x, indices: Sequence[int]) -> Tensor:
     for i in idx:
         if not -x.shape[-1] <= i < x.shape[-1]:
             raise ShapeError(f"take_lastdim: index {i} out of range for extent {x.shape[-1]}")
-    out, tape = _result(x.data[..., idx], (x,), "take_lastdim")
-    if tape is not None:
-        shape = x.shape
 
-        def rule(g: np.ndarray):
-            gx = np.zeros(shape)
-            for pos, col in enumerate(idx):
-                gx[..., col] += g[..., pos]
-            return (gx,)
+    def rule(g: np.ndarray):
+        gx = np.zeros(x.shape)
+        for pos, col in enumerate(idx):
+            gx[..., col] += g[..., pos]
+        return (gx,)
 
-        tape.record((x,), out, rule)
-    return out
+    return _op(x.data[..., idx], (x,), "take_lastdim", rule)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +582,7 @@ def _interp_matrix(length: int, new_len: int) -> np.ndarray:
 
 
 def _apply_time_linear(x: Tensor, w: np.ndarray, name: str) -> Tensor:
-    data = np.matmul(x.data, w.T)
-    out, tape = _result(data, (x,), name)
-    if tape is not None:
-        tape.record((x,), out, lambda g: (np.matmul(g, w),))
-    return out
+    return _op(np.matmul(x.data, w.T), (x,), name, lambda g: (np.matmul(g, w),))
 
 
 def avg_downsample(x, factor: int) -> Tensor:
@@ -698,10 +609,7 @@ def avg_downsample(x, factor: int) -> Tensor:
         s = np.concatenate([s, x.data[..., n * f :].sum(axis=-1, keepdims=True)], axis=-1)
     sizes = np.array([f] * n + [tail] * bool(tail))
     inv = 1.0 / sizes
-    out, tape = _result(s * inv, (x,), "avg_downsample")
-    if tape is not None:
-        tape.record((x,), out, lambda g: (np.repeat(g * inv, sizes, axis=-1),))
-    return out
+    return _op(s * inv, (x,), "avg_downsample", lambda g: (np.repeat(g * inv, sizes, axis=-1),))
 
 
 def moving_average(x, kernel: int) -> Tensor:
@@ -755,18 +663,15 @@ def patchify(x, patch_len: int) -> Tensor:
         padded = np.concatenate([x.data, np.repeat(x.data[:, -1:, :], pad, axis=1)], axis=1)
     else:
         padded = x.data
-    out, tape = _result(padded.reshape(b, n, p, d), (x,), "patchify")
-    if tape is not None:
 
-        def rule(g: np.ndarray):
-            flat = g.reshape(b, n * p, d)
-            gx = flat[:, :t, :].copy()
-            if pad:
-                gx[:, -1, :] += flat[:, t:, :].sum(axis=1)
-            return (gx,)
+    def rule(g: np.ndarray):
+        flat = g.reshape(b, n * p, d)
+        gx = flat[:, :t, :].copy()
+        if pad:
+            gx[:, -1, :] += flat[:, t:, :].sum(axis=1)
+        return (gx,)
 
-        tape.record((x,), out, rule)
-    return out
+    return _op(padded.reshape(b, n, p, d), (x,), "patchify", rule)
 
 
 def unpatchify(x, seq_len: int) -> Tensor:
@@ -777,16 +682,13 @@ def unpatchify(x, seq_len: int) -> Tensor:
     b, n, p, d = x.shape
     if not 1 <= seq_len <= n * p:
         raise ShapeError(f"unpatchify: seq_len {seq_len} invalid for {n}x{p} patches")
-    out, tape = _result(x.data.reshape(b, n * p, d)[:, :seq_len, :], (x,), "unpatchify")
-    if tape is not None:
 
-        def rule(g: np.ndarray):
-            gx = np.zeros((b, n * p, d))
-            gx[:, :seq_len, :] = g
-            return (gx.reshape(b, n, p, d),)
+    def rule(g: np.ndarray):
+        gx = np.zeros((b, n * p, d))
+        gx[:, :seq_len, :] = g
+        return (gx.reshape(b, n, p, d),)
 
-        tape.record((x,), out, rule)
-    return out
+    return _op(x.data.reshape(b, n * p, d)[:, :seq_len, :], (x,), "unpatchify", rule)
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,9 @@ def test_gen_syn8_sidecar_is_union(tmp_path):
     assert sidecar["important_features"] == [0, 1, 2]
 
 
-def test_gen_unknown_dataset_fails(tmp_path):
-    with pytest.raises(SystemExit):
-        run("gen", "--dataset", "SYN99", "--out", tmp_path)
+def test_gen_unknown_dataset_fails(tmp_path, capsys):
+    assert run("gen", "--dataset", "SYN99", "--out", tmp_path) == 2
+    assert "SYN99" in one_error_line(capsys)
 
 
 def test_gen_custom_spec_file(tmp_path):
@@ -140,12 +140,49 @@ def test_explain_without_truth(gen_dir, train_dir, tmp_path):
     assert set(report["sufficiency"]) == {"0.2", "0.5"}
 
 
-def test_explain_lookback_mismatch_fails(gen_dir, train_dir, tmp_path):
+def test_explain_lookback_mismatch_fails(gen_dir, train_dir, tmp_path, capsys):
     bad_mask = tmp_path / "bad_mask.csv"
     np.savetxt(bad_mask, np.ones((96, 7), dtype=int), fmt="%d", delimiter=",")
-    with pytest.raises(SystemExit):
-        run("explain", "--checkpoint", train_dir / "model.ckpt",
-            "--data", gen_dir / "SYN1.csv", "--truth", bad_mask, "--out", tmp_path / "x")
+    assert run("explain", "--checkpoint", train_dir / "model.ckpt",
+               "--data", gen_dir / "SYN1.csv", "--truth", bad_mask, "--out", tmp_path / "x") == 2
+    assert "lookback 96" in one_error_line(capsys)
+
+
+def test_explain_column_count_mismatch_fails(train_dir, tmp_path, capsys):
+    wide = tmp_path / "wide.csv"
+    np.savetxt(wide, np.ones((200, 8)), delimiter=",", header=",".join("abcdefgh"), comments="")
+    assert run("explain", "--checkpoint", train_dir / "model.ckpt", "--data", wide,
+               "--out", tmp_path / "x") == 2
+    assert "expects 7 columns, data has 8" in one_error_line(capsys)
+
+
+@pytest.fixture(scope="module")
+def trained_on_a(tmp_path_factory):
+    """A two-column CSV (a, b) and a checkpoint trained with --target a."""
+    root = tmp_path_factory.mktemp("two")
+    np.savetxt(root / "ab.csv", np.random.default_rng(3).standard_normal((160, 2)),
+               delimiter=",", header="a,b", comments="")
+    assert run("train", "--data", root / "ab.csv", "--target", "a", *FAST_TRAIN, "--out", root) == 0
+    return root / "ab.csv", root / "model.ckpt"
+
+
+def test_explain_scores_the_column_the_model_was_trained_on(trained_on_a, tmp_path):
+    data, ckpt = trained_on_a
+    assert CrossScaleNet.load(ckpt)[1]["target_columns"] == [0]
+    assert run("explain", "--checkpoint", ckpt, "--data", data,
+               "--ig-steps", "2", "--ig-windows", "1", "--out", tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    # the target is scored, so only the other column is an input feature
+    assert set(report["feature_importance"]["ablation"]) == {"b"}
+    assert set(report["feature_importance"]["integrated_gradients"]) == {"b"}
+
+
+def test_explain_target_other_than_the_trained_one_fails(trained_on_a, tmp_path, capsys):
+    data, ckpt = trained_on_a
+    assert run("explain", "--checkpoint", ckpt, "--data", data, "--target", "b",
+               "--out", tmp_path / "x") == 2
+    assert "target columns [0]" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
 
 
 def test_ablation_sweep(gen_dir, tmp_path):
@@ -181,12 +218,12 @@ def test_config_file_merge_flags_win(gen_dir, tmp_path):
     assert snapshot["hidden"] == 8
 
 
-def test_config_file_unknown_key_fails(gen_dir, tmp_path):
+def test_config_file_unknown_key_fails(gen_dir, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"learning_rate_typo": 1}))
-    with pytest.raises(SystemExit):
-        run("train", "--data", gen_dir / "SYN1.csv", *FAST_TRAIN,
-            "--config", config, "--out", tmp_path / "x")
+    assert run("train", "--data", gen_dir / "SYN1.csv", *FAST_TRAIN,
+               "--config", config, "--out", tmp_path / "x") == 2
+    assert "learning_rate_typo" in one_error_line(capsys)
 
 
 def test_flag_at_its_default_still_beats_config(tmp_path):

@@ -463,6 +463,17 @@ def test_report_without_truth_has_no_agreement(trained_setup):
     assert report.to_dict()["agreement"] is None
 
 
+def test_build_report_names_an_empty_split():
+    # without the split check, collect_records of zero windows gives no
+    # records and the error blames the scale count instead
+    data = np.random.default_rng(0).standard_normal((40, 3))
+    ds = make_windows(data, 16, 4, split_fractions=(1.0, 0.0, 0.0))
+    model = CrossScaleNet(ModelConfig(lookback=16, horizon=4, n_features=3, n_scales=2, patch_len=4,
+                                      decomp_kernel=5))
+    with pytest.raises(ValueError, match="split 'test' is empty"):
+        build_report(model, ds)
+
+
 def test_report_rejects_mismatched_truth(trained_setup):
     model, ds = trained_setup
     truth = ground_truth_mask(builtin_spec("SYN1"), 96)  # wrong lookback

@@ -429,13 +429,54 @@ def test_tensor_reusable_across_tapes():
     assert np.array_equal(grads[0], grads[1])
 
 
-def test_no_recording_without_tape():
-    x = Tensor(rand(2), requires_grad=True)
-    y = mul(x, 2.0)
-    assert y.requires_grad
-    tape = Tape()
+# every public op, called once on one input x of the given shape
+PROTOCOL_CASES = [
+    ("add", lambda x: add(x, 1.0), (2, 3)),
+    ("sub", lambda x: sub(1.0, x), (2, 3)),
+    ("mul", lambda x: mul(x, 2.0), (2, 3)),
+    ("div", lambda x: div(1.0, x), (2, 3)),
+    ("matmul", lambda x: matmul(x, np.ones((3, 2))), (2, 3)),
+    ("softmax_lastdim", softmax_lastdim, (2, 3)),
+    ("softmax_attention", lambda x: softmax_attention(x, x, x, 0.5)[0], (2, 3, 4)),
+    ("sigmoid", sigmoid, (2, 3)),
+    ("gelu", gelu, (2, 3)),
+    ("sqrt", sqrt, (2, 3)),
+    ("mean_axis", lambda x: mean_axis(x, 0), (2, 3)),
+    ("sum_all", sum_all, (2, 3)),
+    ("mean_all", mean_all, (2, 3)),
+    ("reshape", lambda x: reshape(x, (6,)), (2, 3)),
+    ("swap_last2", swap_last2, (2, 3)),
+    ("broadcast_to", lambda x: broadcast_to(x, (4, 2, 3)), (2, 3)),
+    ("concat", lambda x: concat([x, Tensor(np.ones((2, 3)))], 0), (2, 3)),
+    ("take_lastdim", lambda x: take_lastdim(x, [2, 0]), (2, 3)),
+    ("avg_downsample", lambda x: avg_downsample(x, 2), (2, 6)),
+    ("moving_average", lambda x: moving_average(x, 3), (2, 6)),
+    ("linear_interp", lambda x: linear_interp(x, 4), (2, 6)),
+    ("patchify", lambda x: patchify(x, 2), (1, 5, 2)),
+    ("unpatchify", lambda x: unpatchify(x, 5), (1, 3, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,fn,shape", PROTOCOL_CASES, ids=[c[0] for c in PROTOCOL_CASES])
+def test_op_records_once_only_on_a_tape_with_a_differentiable_input(name, fn, shape, monkeypatch):
+    recorded = []
+    original = Tape.record
+
+    def record(tape, inputs, output, backward):
+        recorded.append(tape)
+        original(tape, inputs, output, backward)
+
+    monkeypatch.setattr(Tape, "record", record)
+    xv = RNG.uniform(0.5, 2.0, size=shape)
+    y = fn(Tensor(xv, requires_grad=True))
+    assert y.requires_grad and recorded == []
     with pytest.raises(TapeError):
-        tape.backward(sum_all(y))
+        Tape().backward(sum_all(y))
+    with Tape() as tape:
+        fn(Tensor(xv))
+        assert len(tape) == 0 and recorded == []
+        fn(Tensor(xv, requires_grad=True))
+        assert len(tape) == 1 and recorded == [tape]
 
 
 def test_grad_of_sum_a_times_b_is_b():
