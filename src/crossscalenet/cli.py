@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import VARIANTS
-from .data import dataset_from_csv, make_windows
+from .data import dataset_from_csv, make_windows, resolve_target
 from .explain import DEFAULT_RATIOS, build_report, export_report_files
 from .model import CrossScaleNet, ModelConfig
 from .synthgen import (
@@ -29,6 +29,7 @@ from .synthgen import (
     builtin_spec,
     export_dataset,
     export_mask,
+    feature_names,
     generate_dataset,
     ground_truth_mask,
     load_mask,
@@ -112,15 +113,19 @@ def cmd_gen(args, explicit: set[str]) -> int:
 
 
 def _dataset_for(resolved: dict):
-    """Load --data (CSV path or builtin name) into a WindowDataset."""
+    """Load --data (CSV path or builtin name) into a WindowDataset, windowed
+    on --target (a column name or index) or else the last column."""
     data = resolved["data"]
     lookback, horizon = resolved["lookback"], resolved["horizon"]
     if data in BUILTIN_NAMES:
         spec = builtin_spec(data, seed=resolved["seed"])
         features, target = generate_dataset(spec)
-        matrix = np.column_stack([features, target])
-        names = [f"feat_{j}" for j in range(features.shape[1])] + ["target"]
-        return make_windows(matrix, lookback, horizon, column_names=names), f"builtin:{data}"
+        # the columns and header of the CSV `gen` writes for this spec
+        names = feature_names(spec) + ["target"]
+        dataset = make_windows(np.column_stack([features, target]), lookback, horizon,
+                               target_columns=resolve_target(names, resolved.get("target")),
+                               column_names=names)
+        return dataset, f"builtin:{data}"
     # name + content hash: stable provenance, independent of where the file lives
     digest = hashlib.sha256(Path(data).read_bytes()).hexdigest()[:16]
     return (
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model and write checkpoint/metrics")
     p_train.add_argument("--data", required=True, help="CSV path or builtin dataset name")
     p_train.add_argument("--variant", default="cross_dual_key")
-    p_train.add_argument("--target", default=None, help="target column name or index (CSV data)")
+    p_train.add_argument("--target", default=None, help="target column name or index (default: the last column)")
     _add_common_train_flags(p_train)
     p_train.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_train.add_argument("--out", default=None)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SPLITS = ("train", "val", "test")
 DEFAULT_FRACTIONS = (0.7, 0.1, 0.2)
@@ -32,7 +33,6 @@ class WindowDataset:
     feature_mean: np.ndarray = field(init=False)
     feature_std: np.ndarray = field(init=False)
     values: np.ndarray = field(init=False)
-    _cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         train = self.split_ranges["train"]
@@ -50,27 +50,20 @@ class WindowDataset:
         return len(self.split_ranges[split])
 
     def windows(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize a split: X (n, lookback, columns), Y (n, horizon, targets).
+        """A split's windows: X (n, lookback, columns), Y (n, horizon, targets).
 
-        Cached per split; treat the returned arrays as read-only.
+        Both are read-only strided views of ``values``: window i of X is
+        ``values[i : i + lookback]``, so no window is copied and a split
+        costs O(rows) memory, not O(rows x lookback). A gather such as
+        ``x[batch]`` or ``x.copy()`` gives a writeable array.
         """
-        if split in self._cache:
-            return self._cache[split]
         idx = self.split_ranges[split]
-        if len(idx) == 0:
-            out = (
-                np.empty((0, self.lookback, self.n_columns)),
-                np.empty((0, self.horizon, len(self.target_columns))),
-            )
-        else:
-            x = np.stack([self.values[i : i + self.lookback] for i in idx])
-            y = np.stack(
-                [self.values[i + self.lookback : i + self.lookback + self.horizon][:, self.target_columns]
-                 for i in idx]
-            )
-            out = (x, y)
-        self._cache[split] = out
-        return out
+        cols = self.target_columns
+        # one target column slices to a view; several are gathered, O(rows)
+        take = slice(cols[0], cols[0] + 1) if len(cols) == 1 else cols
+        x = sliding_window_view(self.values, self.lookback, axis=0)
+        y = sliding_window_view(self.values[self.lookback :, take], self.horizon, axis=0)
+        return np.swapaxes(x[idx.start : idx.stop], 1, 2), np.swapaxes(y[idx.start : idx.stop], 1, 2)
 
 
 def make_windows(
@@ -86,6 +79,8 @@ def make_windows(
     if data.ndim != 2:
         raise ValueError(f"expected a (rows, columns) matrix, got shape {data.shape}")
     rows, cols = data.shape
+    if lookback < 1 or horizon < 1:
+        raise ValueError(f"lookback and horizon must be >= 1, got lookback={lookback}, horizon={horizon}")
     if abs(sum(split_fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {split_fractions}")
     if any(f < 0 for f in split_fractions):
@@ -143,26 +138,21 @@ def _reject_non_finite(data: np.ndarray, column_names: list[str], source: str = 
         )
 
 
-def dataset_from_csv(
-    path,
-    lookback: int,
-    horizon: int,
-    target: str | int | None = None,
-    split_fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
-) -> WindowDataset:
+def resolve_target(header: list[str], target: str | int | None) -> list[int]:
+    """Target column of a table with this header: a column name, an index
+    (int or digit string), or None for the last column."""
+    if target is None:
+        return [len(header) - 1]
+    if str(target).lstrip("-").isdigit():
+        return [int(target)]
+    if target not in header:
+        raise ValueError(f"target column {target!r} not in header {header}")
+    return [header.index(target)]
+
+
+def dataset_from_csv(path, lookback: int, horizon: int, target: str | int | None = None) -> WindowDataset:
     """Window a CSV file; the target defaults to the last column."""
     header, data = read_csv_matrix(path)
-    if target is None:
-        target_columns = [data.shape[1] - 1]
-    elif isinstance(target, int) or (isinstance(target, str) and target.lstrip("-").isdigit()):
-        target_columns = [int(target)]
-    else:
-        if target not in header:
-            raise ValueError(f"target column {target!r} not in header {header}")
-        target_columns = [header.index(target)]
     return make_windows(
-        data, lookback, horizon,
-        split_fractions=split_fractions,
-        target_columns=target_columns,
-        column_names=header,
+        data, lookback, horizon, target_columns=resolve_target(header, target), column_names=header
     )

@@ -168,11 +168,10 @@ def generate_features(spec: SynthSpec) -> np.ndarray:
     return out
 
 
-def draw_coefficients(spec: SynthSpec, rng: np.random.Generator | None = None):
+def draw_coefficients(spec: SynthSpec):
     """Per-dataset target coefficients: current-value weights plus lagged
     weights of magnitude U[0.5, 1] with signs alternating by lag order."""
-    if rng is None:
-        _, rng, _ = _rngs(spec)
+    _, rng, _ = _rngs(spec)
     current = {j: rng.uniform(*COEF_RANGE) for j in spec.important_features}
     lagged = {}
     for j in spec.important_features:
@@ -187,7 +186,6 @@ def compose_target(
     spec: SynthSpec,
     current: dict[int, float],
     lagged: dict[tuple[int, int], float],
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Assemble the target from explicit coefficients; rows before max_lag
     are dropped and the result is z-scored."""
@@ -195,8 +193,7 @@ def compose_target(
     start = spec.max_lag
     if n <= start:
         raise ValueError(f"n_samples {n} <= max lag {start}: no valid rows")
-    if rng is None:
-        _, _, rng = _rngs(spec)
+    _, _, rng = _rngs(spec)
     rows = np.arange(start, n)
     y = np.zeros(len(rows))
     for j, coef in current.items():
@@ -214,9 +211,8 @@ def compose_target(
 def generate_target(features: np.ndarray, spec: SynthSpec) -> np.ndarray:
     """Target series of length n_samples - max_lag, aligned with
     features[max_lag:]."""
-    _, coef_rng, noise_rng = _rngs(spec)
-    current, lagged = draw_coefficients(spec, coef_rng)
-    return compose_target(features, spec, current, lagged, noise_rng)
+    current, lagged = draw_coefficients(spec)
+    return compose_target(features, spec, current, lagged)
 
 
 def generate_dataset(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:

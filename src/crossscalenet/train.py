@@ -12,6 +12,8 @@ from .data import WindowDataset
 from .model import CrossScaleNet, CrossScaleNetParams
 from .tensor import NonFiniteError, ShapeError, Tape, Tensor, mean_all, take_lastdim
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
@@ -24,8 +26,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
     seed: int = 42
     patience: int = 5
 
@@ -81,7 +81,7 @@ def adam_step(
     if len(params) != len(grads):
         raise ShapeError("params and grads length mismatch")
     state.step += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1**state.step
     correction2 = 1.0 - b2**state.step
     for i, (p, g) in enumerate(zip(params, grads)):

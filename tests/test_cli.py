@@ -185,6 +185,34 @@ def test_explain_target_other_than_the_trained_one_fails(trained_on_a, tmp_path,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.fixture(scope="module")
+def syn1_on_feat_0(tmp_path_factory):
+    """A checkpoint trained on the builtin SYN1 with --target feat_0."""
+    out = tmp_path_factory.mktemp("syn1_feat_0")
+    assert run("train", "--data", "SYN1", "--target", "feat_0", *FAST_TRAIN,
+               "--batch", "256", "--out", out) == 0
+    return out / "model.ckpt"
+
+
+def test_builtin_dataset_trains_on_the_named_target(syn1_on_feat_0):
+    assert CrossScaleNet.load(syn1_on_feat_0)[1]["target_columns"] == [0]
+
+
+def test_explain_builtin_scores_the_named_target(syn1_on_feat_0, tmp_path):
+    assert run("explain", "--checkpoint", syn1_on_feat_0, "--data", "SYN1",
+               "--ig-steps", "2", "--ig-windows", "1", "--out", tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    scored = set(report["feature_importance"]["ablation"])
+    assert "feat_0" not in scored and "target" in scored
+
+
+def test_builtin_dataset_unknown_target_exits_2(tmp_path, capsys):
+    assert run("train", "--data", "SYN1", "--target", "nosuchcol", *FAST_TRAIN,
+               "--out", tmp_path / "x") == 2
+    assert "'nosuchcol' not in header" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
 def test_ablation_sweep(gen_dir, tmp_path):
     out = tmp_path / "sweep"
     code = run("ablation", "--datasets", "SYN1", "--variants", "self_attention,cross_dual_key",

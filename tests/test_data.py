@@ -1,5 +1,7 @@
 """Window construction, split hygiene, and normalization provenance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,11 +54,12 @@ def test_fraction_validation():
 def test_window_contents_align_with_rows():
     rows = 60
     data = np.arange(rows, dtype=float)[:, None] * np.array([[1.0, 10.0]])
-    ds = make_windows(data, lookback=5, horizon=2, target_columns=[1])
-    x, y = ds.windows("train")
-    i = 3
-    assert np.allclose(x[i], ds.values[i : i + 5])
-    assert np.allclose(y[i], ds.values[i + 5 : i + 7][:, [1]])
+    for target_columns in ([1], [1, 0]):
+        ds = make_windows(data, lookback=5, horizon=2, target_columns=target_columns)
+        x, y = ds.windows("train")
+        i = 3
+        assert np.allclose(x[i], ds.values[i : i + 5])
+        assert np.allclose(y[i], ds.values[i + 5 : i + 7][:, target_columns])
 
 
 def test_normalization_stats_from_train_rows_only():
@@ -104,11 +107,41 @@ def test_csv_loader_with_named_target(tmp_path):
         dataset_from_csv(path, lookback=8, horizon=4, target="missing")
 
 
-def test_windows_cached_and_stable():
-    ds = make_windows(RNG.normal(size=(200, 2)), 16, 4)
+def test_windows_are_read_only_views():
+    ds = make_windows(RNG.normal(size=(200, 3)), 16, 4)
     x1, y1 = ds.windows("val")
     x2, y2 = ds.windows("val")
-    assert x1 is x2 and y1 is y2
+    for arr in (x1, y1):
+        assert np.shares_memory(arr, ds.values)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+    assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+    # a gathered batch is an ordinary writeable copy
+    batch = x1[[0, 2]]
+    batch[0, 0, 0] = 1.0
+    assert not np.shares_memory(batch, ds.values)
+    # one window: val and test are empty and keep the window shapes
+    x, y = make_windows(RNG.normal(size=(12, 3)), lookback=8, horizon=4).windows("test")
+    assert x.shape == (0, 8, 3) and y.shape == (0, 4, 1)
+
+
+def test_windowing_allocates_less_than_the_series():
+    ds = make_windows(RNG.normal(size=(2_000, 7)), lookback=96, horizon=16)
+    tracemalloc.start()
+    try:
+        splits = [ds.windows(split) for split in ("train", "val", "test")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(x) for x, _ in splits) == 2_000 - 96 - 16 + 1
+    assert peak < ds.values.nbytes
+
+
+@pytest.mark.parametrize("lookback,horizon", [(0, 4), (8, 0), (8, -3), (-2, 4)])
+def test_make_windows_rejects_non_positive_sizes(lookback, horizon):
+    with pytest.raises(ValueError, match=rf"lookback={lookback}, horizon={horizon}"):
+        make_windows(RNG.normal(size=(100, 3)), lookback, horizon)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
