@@ -101,10 +101,14 @@ def make_windows(
     if target_columns is None:
         target_columns = [cols - 1]
     target_columns = [int(c) for c in target_columns]
+    if not target_columns:
+        raise ValueError("target_columns is empty: name at least one target column")
     if any(not 0 <= c < cols for c in target_columns):
         raise ValueError(f"target columns {target_columns} out of range for {cols} columns")
     if column_names is None:
         column_names = [f"col_{i}" for i in range(cols)]
+    if len(column_names) != cols:
+        raise ValueError(f"column_names has {len(column_names)} names for {cols} columns")
     _reject_non_finite(data, column_names)
 
     return WindowDataset(

@@ -27,6 +27,7 @@ import copy
 import json
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .tensor import (
     Tensor,
     avg_downsample,
     concat,
-    gelu,
+    encoder_mlp,
     linear_interp,
     matmul,
     mean_axis,
@@ -219,11 +220,25 @@ def decompose(x: Tensor, kernel: int) -> tuple[Tensor, Tensor]:
 
 def encoder_forward(component: Tensor, weights: EncoderWeights) -> Tensor:
     """Temporal FC -> GELU -> temporal FC to horizon, then channel mixing
-    with a residual add. Channels-first: (B, D, T) -> (B, D, H)."""
-    h = matmul(component, weights.w_time1) + weights.b_time1
-    h = gelu(h)
-    h = matmul(h, weights.w_time2) + weights.b_time2            # (B, D, H)
-    return h + (matmul(swap_last2(weights.w_channel), h) + reshape(weights.b_channel, (-1, 1)))
+    with a residual add, as one ``encoder_mlp`` tape op. Channels-first:
+    (B, D, T) -> (B, D, H)."""
+    return encoder_mlp(component, weights.w_time1, weights.b_time1, weights.w_time2,
+                       weights.b_time2, weights.w_channel, weights.b_channel)
+
+
+@lru_cache(maxsize=None)
+def _trend_map(length: int, kernel: int) -> Tensor:
+    """The constant M.T of the decomposition fold, contiguous and read-only.
+
+    Only M.T is kept: M comes from the uncached builder. The kept array is
+    allocated before that scratch M, so it does not end up above it and
+    pin the top of the heap (which raised peak RSS by about 1 MB at
+    lookback 336).
+    """
+    trend_map = np.empty((length, length))
+    np.copyto(trend_map, moving_average_matrix.__wrapped__(length, kernel).T)
+    trend_map.setflags(write=False)
+    return Tensor(trend_map)
 
 
 def scale_forward(
@@ -253,7 +268,7 @@ def scale_forward(
             scale_index=scale_index,
         )
         x_scale = x_scale + swap_last2(context)
-    trend_map = Tensor(moving_average_matrix(x_scale.shape[-1], config.decomp_kernel).T)  # M.T
+    trend_map = _trend_map(x_scale.shape[-1], config.decomp_kernel)
     enc_s = params.seasonal[scale_index - 1]
     enc_t = params.trend[scale_index - 1]
     w_seasonal = enc_s.w_time1 - matmul(trend_map, enc_s.w_time1)

@@ -2,12 +2,13 @@
 
 The numeric layer is deliberately small: it provides exactly the dense
 operations the forecaster needs (batched matmul, pointwise arithmetic,
-stable softmax/sigmoid, fused scaled dot-product attention in
-cache-sized tiles, time-axis resampling, patch extraction) plus a
-define-by-run gradient tape that is rebuilt for every forward/backward
-pass. Arrays are row-major float64 throughout. Broadcasting is limited
-to numpy's trailing-extent rule (missing leading axes and size-1 axes
-stretch); anything else raises.
+stable softmax/sigmoid, time-axis resampling, patch extraction, and two
+fused ops: scaled dot-product attention in cache-sized tiles and the
+encoder's MLP with channel mixing) plus a define-by-run gradient tape
+that is rebuilt for every forward/backward pass. Arrays are row-major
+float64 throughout. Broadcasting is limited to numpy's trailing-extent
+rule (missing leading axes and size-1 axes stretch); anything else
+raises.
 
 Op protocol: every op computes its output array and a backward rule over
 arrays captured as it runs, then returns ``_op(data, inputs, name,
@@ -39,7 +40,7 @@ class TapeError(RuntimeError):
 
 
 def _check_finite(arr: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {context}")
     return arr
 
@@ -235,11 +236,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _op(data: np.ndarray, inputs: Sequence[Tensor], name: str, rule: BackwardRule) -> Tensor:
-    """Wrap an op's output and record it when a tape is active and an input needs a gradient."""
-    try:
-        out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
-    except NonFiniteError:
-        raise NonFiniteError(f"non-finite values produced by {name}") from None
+    """Wrap an op's output and record it when a tape is active and an input needs a gradient.
+
+    Checks the output as ``Tensor()`` does, without its conversions when
+    ``data`` is already a C-contiguous float64 array of at least one axis
+    (``np.ascontiguousarray`` makes a 0-d array 1-d).
+    """
+    if not (data.ndim and data.flags.c_contiguous and data.dtype == np.float64):
+        data = np.ascontiguousarray(data, dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"non-finite values produced by {name}")
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad = data, any(t.requires_grad for t in inputs), None
     tape = active_tape() if out.requires_grad else None
     if tape is not None:
         tape.record(inputs, out, rule)
@@ -425,18 +433,89 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
+    """tanh(c * (x + a * x^3)) of the GELU approximation, in one new array."""
+    t = _GELU_A * (xd * xd)
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def _gelu_slope(xd: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The GELU's derivative at ``xd``, given its ``_gelu_tanh``."""
+    dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
+    return 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
+
+
 def gelu(x) -> Tensor:
     """Smooth GELU (tanh approximation)."""
     x = _as_tensor(x)
     xd = x.data
-    sq = xd * xd
-    t = np.tanh(_GELU_C * (xd + _GELU_A * sq * xd))
+    t = _gelu_tanh(xd)
+    return _op(0.5 * xd * (1.0 + t), (x,), "gelu", lambda g: (g * _gelu_slope(xd, t),))
+
+
+def encoder_mlp(x, w1, b1, w2, b2, wc, bc) -> Tensor:
+    """Temporal MLP then channel mixing with a residual add, as one tape op.
+
+    Takes x (..., D, T), w1 (T, K), b1 (K,), w2 (K, H), b2 (H,), wc
+    (D, D) and bc (D,); with ``h = gelu(x @ w1 + b1) @ w2 + b2`` returns
+    ``h + (wc^T @ h + bc[:, None])``, (..., D, H). Values and gradients
+    equal those of the chain of ``matmul``, ``add``, ``gelu``,
+    ``swap_last2`` and ``reshape`` ops bit for bit: the forward makes that
+    chain's numpy calls in its order, in place where the chain made a new
+    array, and the backward sums h's gradient as the tape would, the
+    residual's contribution first. Each array the chain scanned for
+    NaN/Inf is scanned, a bias add scanning its matmul's product.
+    """
+    inputs = tuple(_as_tensor(a) for a in (x, w1, b1, w2, b2, wc, bc))
+    x, w1, b1, w2, b2, wc, bc = inputs
+    d, k, h_len = x.shape[-2:-1], w1.shape[-1:], w2.shape[-1:]
+    if (x.ndim < 2 or w1.shape != (x.shape[-1], *k) or b1.shape != k or w2.shape != (*k, *h_len)
+            or b2.shape != h_len or wc.shape != (*d, *d) or bc.shape != d):
+        raise ShapeError(
+            f"encoder_mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, "
+            f"b2 {b2.shape}, wc {wc.shape}, bc {bc.shape} do not align"
+        )
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    hid = np.matmul(xd, w1d)
+    hid += b1.data
+    t = _gelu_tanh(_check_finite(hid, "encoder_mlp"))
+    act = 0.5 * hid
+    act *= 1.0 + t
+    h = np.matmul(_check_finite(act, "encoder_mlp"), w2d)
+    h += b2.data
+    wct = np.ascontiguousarray(np.swapaxes(wc.data, -1, -2))
+    out = np.matmul(wct, _check_finite(h, "encoder_mlp"))
+    out += bc.data.reshape(-1, 1)
+    _check_finite(out, "encoder_mlp")
+    out += h  # the residual; ``_op`` scans the sum
 
     def rule(g: np.ndarray):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * sq)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner),)
+        gx = gw1 = gb1 = gw2 = gb2 = gwc = gbc = None
+        if wc.requires_grad:
+            gwc = np.swapaxes(_unbroadcast(np.matmul(g, np.swapaxes(h, -1, -2)), wct.shape), -1, -2)
+        if bc.requires_grad:
+            gbc = _unbroadcast(g, (*d, 1)).reshape(d)
+        if any(a.requires_grad for a in inputs[:5]):  # h needs a gradient
+            gh = g + np.matmul(np.swapaxes(wct, -1, -2), g)
+            if b2.requires_grad:
+                gb2 = _unbroadcast(gh, h_len)
+            if w2.requires_grad:
+                gw2 = _unbroadcast(np.matmul(np.swapaxes(act, -1, -2), gh), w2.shape)
+        if any(a.requires_grad for a in inputs[:3]):  # and so does the hidden layer
+            ghid = np.matmul(gh, np.swapaxes(w2d, -1, -2))
+            ghid *= _gelu_slope(hid, t)
+            if b1.requires_grad:
+                gb1 = _unbroadcast(ghid, k)
+            if w1.requires_grad:
+                gw1 = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), ghid), w1.shape)
+            if x.requires_grad:
+                gx = _unbroadcast(np.matmul(ghid, np.swapaxes(w1d, -1, -2)), x.shape)
+        return (gx, gw1, gb1, gw2, gb2, gwc, gbc)
 
-    return _op(0.5 * xd * (1.0 + t), (x,), "gelu", rule)
+    return _op(out, inputs, "encoder_mlp", rule)
 
 
 def sqrt(x) -> Tensor:

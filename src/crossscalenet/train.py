@@ -56,19 +56,17 @@ class EpochStats:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers, one pair per parameter tensor."""
+    """First/second moment buffers: one flat vector each over all parameter
+    tensors, in order, row-major."""
 
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(
-            step=0,
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-        )
+        size = sum(p.size for p in params)
+        return cls(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(
@@ -77,21 +75,29 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> AdamState:
-    """One bias-corrected adaptive-moment update, in place on the params."""
+    """One bias-corrected adaptive-moment update, in place on the params.
+
+    The moments and the step are computed once over the concatenated
+    gradients; each element takes the per-tensor formula's operations in
+    its order, so the result is that formula's bit for bit.
+    """
     if len(params) != len(grads):
         raise ShapeError("params and grads length mismatch")
+    for p, g in zip(params, grads):
+        if g.shape != p.data.shape:
+            raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape}")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1**state.step
     correction2 = 1.0 - b2**state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.data.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / correction1
-        v_hat = state.v[i] / correction2
-        p.data = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g = np.concatenate([g.reshape(-1) for g in grads])
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * g * g
+    step = config.learning_rate * (state.m / correction1) / (np.sqrt(state.v / correction2) + ADAM_EPS)
+    lo = 0
+    for p in params:
+        p.data = p.data - step[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
     return state
 
 

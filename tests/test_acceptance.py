@@ -84,7 +84,7 @@ def test_criterion_1_autodiff(capfd):
 
     # every differentiable op at tol 1e-4
     from crossscalenet.tensor import (
-        avg_downsample, concat, div, gelu, linear_interp, matmul, mean_axis,
+        avg_downsample, concat, div, encoder_mlp, gelu, linear_interp, matmul, mean_axis,
         moving_average, patchify, reshape, sigmoid, sqrt, swap_last2,
         take_lastdim, unpatchify, broadcast_to,
     )
@@ -98,6 +98,8 @@ def test_criterion_1_autodiff(capfd):
     w33, v3, c23, v6 = const(3, 3), const(3), const(2, 3), const(6)
     w432, w43b = const(4, 3, 2), const(4, 3)
     w22 = Tensor(w23.data[:, :2].copy())
+    encoder = [const(*shape) for shape in [(5, 4), (4,), (4, 6), (6,), (3, 3), (3,)]]
+    w236 = const(2, 3, 6)
     op_cases = [
         ("matmul", lambda x: sum_all(mul(matmul(x, w33), w23)), (2, 3)),
         ("add", lambda x: sum_all(mul(x + v3, w23)), (2, 3)),
@@ -121,6 +123,7 @@ def test_criterion_1_autodiff(capfd):
         ("take_lastdim", lambda x: sum_all(mul(take_lastdim(x, [2, 0]), w22)), (2, 4)),
         ("concat", lambda x: sum_all(mul(concat([x, c23], 0), w43b)), (2, 3)),
         ("softmax_attention", lambda x: sum_all(mul(softmax_attention(x, x, x, 0.7)[0], w432)), (4, 3, 2)),
+        ("encoder_mlp", lambda x: sum_all(mul(encoder_mlp(x, *encoder), w236)), (2, 3, 5)),
     ]
     worst_op = 0.0
     for op_name, fn, shape in op_cases:

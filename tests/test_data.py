@@ -144,6 +144,19 @@ def test_make_windows_rejects_non_positive_sizes(lookback, horizon):
         make_windows(RNG.normal(size=(100, 3)), lookback, horizon)
 
 
+def test_make_windows_rejects_empty_target_columns():
+    with pytest.raises(ValueError, match="target_columns is empty"):
+        make_windows(RNG.normal(size=(200, 3)), 32, 8, target_columns=[])
+
+
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d"]], ids=["short", "long"])
+def test_make_windows_rejects_column_names_of_wrong_length(names):
+    data = RNG.normal(size=(200, 3))
+    data[56, 2] = np.nan  # the unnamed column of the short list
+    with pytest.raises(ValueError, match=f"column_names has {len(names)} names for 3 columns"):
+        make_windows(data, 16, 4, column_names=names)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_read_csv_rejects_non_finite_cells(tmp_path, cell):
     path = tmp_path / "series.csv"

@@ -478,12 +478,13 @@ def test_model_gradients_pass_grad_check():
 # limits. Only the key streams a variant reads are resampled and
 # transposed (forecast and seasonal: 2 each over scales 2 and 3);
 # self-attention patchifies only its input, into one-step patches. Each
-# attention path is one fused softmax_attention op over scales 2 and 3.
+# attention path is one fused softmax_attention op over scales 2 and 3,
+# and each of the six encoders one encoder_mlp op.
 OP_LIMITS = {
-    "self_attention": (0, 12, 2, 114),
-    "patch_attention": (0, 12, 2, 134),
-    "cross_shared_key": (2, 14, 4, 142),
-    "cross_dual_key": (4, 16, 6, 148),
+    "self_attention": (0, 12, 2, 60),
+    "patch_attention": (0, 12, 2, 80),
+    "cross_shared_key": (2, 14, 4, 88),
+    "cross_dual_key": (4, 16, 6, 94),
 }
 
 

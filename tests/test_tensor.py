@@ -17,6 +17,7 @@ from crossscalenet.tensor import (
     broadcast_to,
     concat,
     div,
+    encoder_mlp,
     gelu,
     grad_check,
     linear_interp,
@@ -165,6 +166,41 @@ def test_softmax_attention_is_bit_identical_to_unfused_chain(q_batch, kv_batch, 
             results.append((context.data, weights, q.grad, k.grad, v.grad))
         for fused, chain in zip(*results):
             assert np.array_equal(fused, chain)
+
+
+def _unfused_encoder(x, w1, b1, w2, b2, wc, bc):
+    h = matmul(gelu(matmul(x, w1) + b1), w2) + b2
+    return h + (matmul(swap_last2(wc), h) + reshape(bc, (-1, 1)))
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
+def test_encoder_mlp_is_bit_identical_to_unfused_chain(batch, x_grad):
+    rng = np.random.default_rng(13)
+    # the acceptance config's scale 1: 7 channels, lookback 96, hidden 16, horizon 16
+    shapes = [(batch, 7, 96), (96, 16), (16,), (16, 16), (16,), (7, 7), (7,)]
+    values = [rng.normal(size=s) for s in shapes]
+    w = Tensor(rng.normal(size=(batch, 7, 16)))
+    results = []
+    for op in (encoder_mlp, _unfused_encoder):
+        with Tape() as tape:
+            inputs = [Tensor(v, requires_grad=x_grad or i > 0) for i, v in enumerate(values)]
+            out = op(*inputs)
+            tape.backward(sum_all(mul(out, w)))
+        results.append([out.data] + [t.grad for t in inputs])
+    assert (results[0][1] is None) == (results[1][1] is None) == (not x_grad)
+    for fused, chain in zip(*results):
+        assert fused is None and chain is None or np.array_equal(fused, chain)
+
+
+def test_encoder_mlp_shape_errors():
+    x, w1, b1, w2, b2, wc, bc = (Tensor(np.ones(s)) for s in [(2, 3, 5), (5, 4), (4,), (4, 6), (6,), (3, 3), (3,)])
+    encoder_mlp(x, w1, b1, w2, b2, wc, bc)
+    for bad in ([Tensor(np.ones(5)), w1, b1, w2, b2, wc, bc], [x, Tensor(np.ones((4, 4))), b1, w2, b2, wc, bc],
+                [x, w1, b1, w2, Tensor(np.ones(4)), wc, bc], [x, w1, b1, w2, b2, Tensor(np.ones((2, 2))), bc],
+                [x, w1, b1, w2, b2, wc, Tensor(np.ones(2))]):
+        with pytest.raises(ShapeError):
+            encoder_mlp(*bad)
 
 
 def test_softmax_attention_weights_are_read_only_rows():
@@ -331,6 +367,14 @@ def test_non_finite_op_output_names_the_op():
         mul(Tensor([1e200]), Tensor([1e200]))
 
 
+def test_encoder_mlp_non_finite_hidden_layer_names_the_op():
+    # the first layer overflows; its GELU turns -inf into NaN
+    x, w1 = Tensor([[1e200]]), Tensor([[-1e200]])
+    ones = [Tensor(np.ones(s)) for s in [(1,), (1, 1), (1,), (1, 1), (1,)]]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="encoder_mlp"):
+        encoder_mlp(x, w1, *ones)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["pos_inf", "neg_inf"])
 def test_softmax_attention_rejects_overflowing_scores(sign):
     # q.k overflows to +inf or -inf in the first key; the second key's
@@ -440,6 +484,9 @@ PROTOCOL_CASES = [
     ("softmax_attention", lambda x: softmax_attention(x, x, x, 0.5)[0], (2, 3, 4)),
     ("sigmoid", sigmoid, (2, 3)),
     ("gelu", gelu, (2, 3)),
+    ("encoder_mlp",
+     lambda x: encoder_mlp(x, *(Tensor(np.ones(s)) for s in [(3, 4), (4,), (4, 2), (2,), (2, 2), (2,)])),
+     (2, 3)),
     ("sqrt", sqrt, (2, 3)),
     ("mean_axis", lambda x: mean_axis(x, 0), (2, 3)),
     ("sum_all", sum_all, (2, 3)),
@@ -515,6 +562,15 @@ _Q3, _K3, _V3D = _const(2, 3, 4), _const(2, 5, 4), _const(2, 5, 2)
 _Q4, _K4, _V4 = _const(2, 2, 3, 4), _const(2, 2, 5, 4), _const(2, 2, 5, 2)
 
 
+# encoder_mlp operands: x (2, 3, 5), hidden 6, horizon 4, 3 channels
+_ENC = [_const(2, 3, 5), _const(5, 6), _const(6), _const(6, 4), _const(4), _const(3, 3), _const(3)]
+
+
+def _encoder_with(i: int):
+    """encoder_mlp as a function of its i-th operand, the others fixed."""
+    return lambda x: encoder_mlp(*_ENC[:i], x, *_ENC[i + 1 :])
+
+
 def _weighted(op, w: Tensor):
     return lambda x: sum_all(mul(op(x), w))
 
@@ -538,6 +594,10 @@ OP_CASES = [
     ("softmax_attention_k4", _weighted(lambda x: softmax_attention(_Q4, x, _V4, 1.3)[0], _const(2, 2, 3, 2)), (2, 2, 5, 4)),
     ("softmax_attention_v4", _weighted(lambda x: softmax_attention(_Q4, _K4, x, 1.3)[0], _const(2, 2, 3, 2)), (2, 2, 5, 2)),
     ("sigmoid", _weighted(sigmoid, _const(6,)), (6,)),
+    *(
+        (f"encoder_mlp_{name}", _weighted(_encoder_with(i), _const(2, 3, 4)), _ENC[i].shape)
+        for i, name in enumerate(("x", "w1", "b1", "w2", "b2", "wc", "bc"))
+    ),
     ("gelu", _weighted(gelu, _const(7,)), (7,)),
     ("sqrt", lambda x: sum_all(sqrt(add(mul(x, x), 1.0))), (5,)),
     ("mean_axis0", _weighted(lambda x: mean_axis(x, 0), _const(4,)), (3, 4)),

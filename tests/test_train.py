@@ -8,6 +8,9 @@ from crossscalenet.model import CrossScaleNet, ModelConfig
 from crossscalenet.synthgen import builtin_spec, generate_dataset
 from crossscalenet.tensor import Tensor
 from crossscalenet.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     EpochStats,
     Metrics,
@@ -66,6 +69,28 @@ def test_adam_minimizes_quadratic_bowl():
     for _ in range(500):
         adam_step([w], [2.0 * w.data], state, cfg)  # grad of ||w||^2
     assert np.linalg.norm(w.data) < 1e-3
+
+
+def test_adam_flat_update_equals_per_tensor_formula():
+    shapes = [(3, 2), (5,), (1,), (4, 4)]
+    params = [Tensor(RNG.normal(size=s), requires_grad=True) for s in shapes]
+    reference = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    state = AdamState.for_params(params)
+    cfg = TrainConfig(learning_rate=0.01)
+    for step in range(1, 4):
+        # a transposed (non-contiguous) gradient, as swap_last2's backward gives
+        grads = [RNG.normal(size=s[::-1]).T for s in shapes]
+        adam_step(params, grads, state, cfg)
+        for i, g in enumerate(grads):
+            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m[i] / (1.0 - ADAM_BETA1**step)
+            v_hat = v[i] / (1.0 - ADAM_BETA2**step)
+            reference[i] = reference[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for p, r in zip(params, reference):
+            assert np.array_equal(p.data, r)
 
 
 def test_adam_shape_mismatch_errors():
