@@ -1,6 +1,6 @@
 """Multi-scale forecasting with cross-patch attention and intrinsic temporal saliency."""
 
-from .attention import AttentionConfig, AttentionRecord, AttentionWeights, cross_patch_attention
+from .attention import AttentionRecord, AttentionWeights, cross_patch_attention
 from .data import WindowDataset, dataset_from_csv, make_windows
 from .explain import (
     ExplainReport,
@@ -21,7 +21,6 @@ from .train import Metrics, TrainConfig, evaluate, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionConfig",
     "AttentionRecord",
     "AttentionWeights",
     "CrossScaleNet",

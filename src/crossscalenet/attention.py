@@ -49,23 +49,6 @@ VARIANTS = tuple(KEY_SOURCES)
 
 
 @dataclass
-class AttentionConfig:
-    """Patch length, ablation variant, and feature dimension."""
-
-    patch_len: int
-    variant: str
-    model_dim: int
-
-    def __post_init__(self):
-        if self.patch_len < 1:
-            raise ValueError(f"patch_len must be >= 1, got {self.patch_len}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.model_dim < 1:
-            raise ValueError(f"model_dim must be >= 1, got {self.model_dim}")
-
-
-@dataclass
 class AttentionWeights:
     """Square D x D projections for the two attention paths.
 
@@ -199,7 +182,8 @@ def cross_patch_attention(
     x: Tensor,
     key_forecast: Tensor | None,
     key_seasonal: Tensor | None,
-    config: AttentionConfig,
+    variant: str,
+    patch_len: int,
     weights: AttentionWeights,
     scale_index: int = 0,
 ) -> tuple[Tensor, AttentionRecord]:
@@ -208,26 +192,30 @@ def cross_patch_attention(
     The variant's row of ``KEY_SOURCES`` names the stream each path keys
     on; a key it does not read may be None. Without a local key (the
     self_attention variant) the patches are one time step long and the
-    patch context is the whole context.
+    patch context is the whole context, whatever ``patch_len`` says. The
+    input's width D is the model dimension: weights of another width
+    raise ``ShapeError`` in the projection.
 
     Returns the context at input resolution (B, T, D) and the attention
     record for saliency extraction.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if patch_len < 1:
+        raise ValueError(f"patch_len must be >= 1, got {patch_len}")
     if x.ndim != 3:
         raise ShapeError(f"cross_patch_attention expects (B, T, D), got {x.shape}")
     b, seq_len, dim = x.shape
-    if dim != config.model_dim:
-        raise ShapeError(f"input dim {dim} != config.model_dim {config.model_dim}")
 
     streams = {"input": x, "forecast": key_forecast, "seasonal": key_seasonal}
-    patch_src, local_src = KEY_SOURCES[config.variant]
-    patch_len = config.patch_len if local_src else 1
+    patch_src, local_src = KEY_SOURCES[variant]
+    patch_len = patch_len if local_src else 1
     # patchify each distinct stream once, the input first; both paths share
     # the query patches
     patches = {}
     for src in dict.fromkeys(s for s in ("input", patch_src, local_src) if s):
         if streams[src] is None:
-            raise ShapeError(f"{config.variant} requires the {src} key")
+            raise ShapeError(f"{variant} requires the {src} key")
         _check_aligned(x, streams[src], 3, "cross_patch_attention")
         patches[src] = patchify(streams[src], patch_len)
 

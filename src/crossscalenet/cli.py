@@ -25,6 +25,7 @@ from .explain import DEFAULT_RATIOS, build_report, export_report_files
 from .model import CrossScaleNet, ModelConfig
 from .synthgen import (
     BUILTIN_NAMES,
+    DEFAULT_N_SAMPLES,
     SynthSpec,
     builtin_spec,
     export_dataset,
@@ -86,16 +87,19 @@ def _prepare_out(path_like) -> Path:
 
 
 def _load_spec(resolved: dict) -> SynthSpec:
+    # None, not falsy: --samples 0 reaches SynthSpec, which rejects it
+    samples = resolved["samples"]
     if resolved.get("spec"):
         raw = json.loads(Path(resolved["spec"]).read_text())
         raw.setdefault("seed", resolved["seed"])
-        if resolved.get("samples"):
-            raw["n_samples"] = resolved["samples"]
+        if samples is not None:
+            raw["n_samples"] = samples
         return SynthSpec.from_dict(raw)
     name = resolved["dataset"]
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown dataset {name!r}; expected one of {BUILTIN_NAMES} or --spec FILE")
-    return builtin_spec(name, n_samples=resolved["samples"] or 10_000, seed=resolved["seed"])
+    n_samples = DEFAULT_N_SAMPLES if samples is None else samples
+    return builtin_spec(name, n_samples=n_samples, seed=resolved["seed"])
 
 
 def cmd_gen(args, explicit: set[str]) -> int:

@@ -114,7 +114,7 @@ def collect_records(
                     patch_len=r.patch_len,
                     seq_len=r.seq_len,
                 )
-                for r in model.forward(Tensor(windows[lo : lo + batch_size]))[1].records
+                for r in model.forward(Tensor(windows[lo : lo + batch_size]))[1]
             ]
             for part in sums:
                 total = totals.setdefault(part.scale_index, part)
@@ -127,8 +127,9 @@ def collect_records(
     return [totals[k] for k in sorted(totals)]
 
 
-def model_saliency(model: CrossScaleNet, dataset: WindowDataset, split: str = "test") -> SaliencyVector:
-    x, _ = dataset.windows(split)
+def model_saliency(model: CrossScaleNet, dataset: WindowDataset) -> SaliencyVector:
+    """Attention saliency over the test windows."""
+    x, _ = dataset.windows("test")
     records = collect_records(model, x)
     return aggregate_saliency(records, dataset.lookback)
 
@@ -233,17 +234,17 @@ def _normalized_error_gap(e_perturbed: float, e_full: float, e_blank: float, met
 
 
 class _SplitErrors:
-    """Target-column MSE of one split's windows, intact or perturbed.
+    """Target-column MSE of the test windows, intact or perturbed.
 
     The intact and the fully blanked errors are each predicted at most once,
     so one instance shares them across feature ablation, sufficiency and
     comprehensiveness.
     """
 
-    def __init__(self, model: CrossScaleNet, dataset: WindowDataset, split: str):
+    def __init__(self, model: CrossScaleNet, dataset: WindowDataset):
         self.model = model
         self.dataset = dataset
-        self.x, self.y = dataset.windows(split)
+        self.x, self.y = dataset.windows("test")
 
     def mse(self, x: np.ndarray) -> float:
         preds = self.model.predict(x)[..., self.dataset.target_columns]
@@ -280,11 +281,11 @@ def sufficiency(
     dataset: WindowDataset,
     saliency: SaliencyVector | np.ndarray,
     ratio: float,
-    split: str = "test",
 ) -> float:
-    """Error increase when keeping only the top-ratio salient positions,
-    normalized to [0, 1] by the blank-input error gap. Lower is better."""
-    return _SplitErrors(model, dataset, split).masked(saliency, ratio, "keep")
+    """Error increase on the test windows when keeping only the top-ratio
+    salient positions, normalized to [0, 1] by the blank-input error gap.
+    Lower is better."""
+    return _SplitErrors(model, dataset).masked(saliency, ratio, "keep")
 
 
 def comprehensiveness(
@@ -292,25 +293,23 @@ def comprehensiveness(
     dataset: WindowDataset,
     saliency: SaliencyVector | np.ndarray,
     ratio: float,
-    split: str = "test",
 ) -> float:
-    """Error increase when removing the top-ratio salient positions,
-    normalized like sufficiency. Higher is better."""
-    return _SplitErrors(model, dataset, split).masked(saliency, ratio, "remove")
+    """Error increase on the test windows when removing the top-ratio
+    salient positions, normalized like sufficiency. Higher is better."""
+    return _SplitErrors(model, dataset).masked(saliency, ratio, "remove")
 
 
 def feature_ablation(
     model: CrossScaleNet,
     dataset: WindowDataset,
     channels: list[int] | None = None,
-    split: str = "test",
 ) -> dict[int, float]:
     """Per-channel importance: relative test-error increase when the channel
     is mean-replaced across the whole window. Target channels are excluded
     from the default candidate set."""
     if channels is None:
         channels = [c for c in range(dataset.n_columns) if c not in dataset.target_columns]
-    return _SplitErrors(model, dataset, split).ablation(channels)
+    return _SplitErrors(model, dataset).ablation(channels)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +380,15 @@ def integrated_gradients(
 def ig_attribution_map(
     model: CrossScaleNet,
     dataset: WindowDataset,
-    split: str = "test",
     steps: int = 64,
     n_windows: int = 16,
 ) -> np.ndarray:
-    """Mean |IG| over a deterministic sample of windows, shape (T, F)."""
-    x, _ = dataset.windows(split)
+    """Mean |IG| over a deterministic sample of test windows, shape (T, F)."""
+    if n_windows < 1:
+        raise ValueError(f"n_windows must be >= 1, got {n_windows}")
+    x, _ = dataset.windows("test")
     if len(x) == 0:
-        raise ValueError(f"split {split!r} is empty")
+        raise ValueError("split 'test' is empty")
     picks = np.unique(np.linspace(0, len(x) - 1, min(n_windows, len(x)), dtype=int))
     value_and_grad = target_sum_grad_fn(model, dataset.target_columns)
     acc = np.zeros((dataset.lookback, dataset.n_columns))
@@ -442,18 +442,18 @@ def build_report(
     dataset: WindowDataset,
     truth: SaliencyTruth | None = None,
     ratios: tuple[float, ...] = DEFAULT_RATIOS,
-    split: str = "test",
     ig_steps: int = 64,
     ig_windows: int = 16,
 ) -> ExplainReport:
-    if dataset.n_windows(split) == 0:
-        raise ValueError(f"split {split!r} is empty")
-    saliency = model_saliency(model, dataset, split)
-    attribution = ig_attribution_map(model, dataset, split, steps=ig_steps, n_windows=ig_windows)
+    """The whole battery, scored on the test windows."""
+    if dataset.n_windows("test") == 0:
+        raise ValueError("split 'test' is empty")
+    saliency = model_saliency(model, dataset)
+    attribution = ig_attribution_map(model, dataset, steps=ig_steps, n_windows=ig_windows)
 
     names = dataset.column_names
     candidates = [c for c in range(dataset.n_columns) if c not in dataset.target_columns]
-    errors = _SplitErrors(model, dataset, split)
+    errors = _SplitErrors(model, dataset)
     ablation_scores = errors.ablation(candidates)
     ig_per_channel = attribution.mean(axis=0)
 

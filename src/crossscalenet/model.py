@@ -26,7 +26,7 @@ from __future__ import annotations
 import copy
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,6 @@ import numpy as np
 from .attention import (
     KEY_SOURCES,
     VARIANTS,
-    AttentionConfig,
     AttentionRecord,
     AttentionWeights,
     cross_patch_attention,
@@ -106,9 +105,6 @@ class ModelConfig:
         """Sequence length at each scale, strictly decreasing."""
         return [-(-self.lookback // 2 ** m) for m in range(self.n_scales)]
 
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(self.patch_len, self.variant, self.n_features)
-
 
 @dataclass
 class EncoderWeights:
@@ -159,15 +155,6 @@ class CrossScaleNetParams:
         no gradients; every field is copied, whatever it holds."""
         fresh = {id(t): Tensor(t.data.copy(), requires_grad=t.requires_grad) for t in self.tensors()}
         return copy.deepcopy(self, fresh)
-
-
-@dataclass
-class ScaleOutputs:
-    """Per-scale forecasts, channels-first (B, D, H), and the attention
-    records captured on the way."""
-
-    predictions: list[Tensor] = field(default_factory=list)
-    records: list[AttentionRecord] = field(default_factory=list)
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> CrossScaleNetParams:
@@ -248,14 +235,14 @@ def scale_forward(
     config: ModelConfig,
     params: CrossScaleNetParams,
     scale_index: int,
-) -> tuple[Tensor, Tensor, Tensor, AttentionRecord | None]:
+) -> tuple[Tensor, Tensor, AttentionRecord | None]:
     """One scale: attention refinement (scales >= 2), then the seasonal and
     trend encoders with the decomposition folded into their first layer.
 
-    Channels-first: the input and keys are (B, D, T_m), the three
-    forecasts (B, D, H). A key the variant does not read is None and is
-    not transposed; ``cross_patch_attention`` names a missing one. Returns
-    (prediction, seasonal branch, trend branch, record or None).
+    Channels-first: the input and keys are (B, D, T_m), the prediction
+    and its seasonal branch (B, D, H). A key the variant does not read is
+    None and is not transposed; ``cross_patch_attention`` names a missing
+    one. Returns (prediction, seasonal branch, record or None).
     """
     record = None
     if scale_index >= 2:
@@ -263,7 +250,8 @@ def scale_forward(
             swap_last2(x_scale),
             None if key_forecast is None else swap_last2(key_forecast),
             None if key_seasonal is None else swap_last2(key_seasonal),
-            config.attention_config(),
+            config.variant,
+            config.patch_len,
             params.attention[scale_index - 1],
             scale_index=scale_index,
         )
@@ -275,13 +263,14 @@ def scale_forward(
     w_trend = matmul(trend_map, enc_t.w_time1)
     y_seasonal = encoder_forward(x_scale, replace(enc_s, w_time1=w_seasonal))
     y_trend = encoder_forward(x_scale, replace(enc_t, w_time1=w_trend))
-    return y_seasonal + y_trend, y_seasonal, y_trend, record
+    return y_seasonal + y_trend, y_seasonal, record
 
 
 def model_forward(
     x: Tensor | np.ndarray, params: CrossScaleNetParams, config: ModelConfig
-) -> tuple[Tensor, ScaleOutputs]:
-    """Full forward pass: (B, T, D) -> forecast (B, H, D) plus per-scale outputs."""
+) -> tuple[Tensor, list[AttentionRecord]]:
+    """Full forward pass: (B, T, D) -> forecast (B, H, D) plus the attention
+    record of every scale >= 2, coarser scales last."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if x.ndim != 3 or x.shape[1] != config.lookback or x.shape[2] != config.n_features:
@@ -300,29 +289,28 @@ def model_forward(
         std = sqrt(var + INSTANCE_NORM_EPS)
         x_in = centered / std
 
-    outputs = ScaleOutputs()
-    y1, y1_seasonal, _, _ = scale_forward(x_in, None, None, config, params, 1)
-    outputs.predictions.append(y1)
+    y1, y1_seasonal, _ = scale_forward(x_in, None, None, config, params, 1)
+    predictions, records = [y1], []
 
     # resample only the key streams the variant reads
     reads = KEY_SOURCES[config.variant]
     for m, t_m in enumerate(config.scale_lengths[1:], start=2):
-        y_m, _, _, record = scale_forward(
+        y_m, _, record = scale_forward(
             avg_downsample(x_in, 2 ** (m - 1)),
             linear_interp(y1, t_m) if "forecast" in reads else None,
             linear_interp(y1_seasonal, t_m) if "seasonal" in reads else None,
             config, params, m,
         )
-        outputs.predictions.append(y_m)
-        outputs.records.append(record)
+        predictions.append(y_m)
+        records.append(record)
 
-    gated = [y * sigmoid(gate) for y, gate in zip(outputs.predictions, params.gate_logits)]
+    gated = [y * sigmoid(gate) for y, gate in zip(predictions, params.gate_logits)]
     stacked = concat(gated, axis=2) if len(gated) > 1 else gated[0]  # (B, D, M*H)
     forecast = matmul(stacked, params.fusion_weight) + params.fusion_bias  # (B, D, H)
 
     if config.instance_norm:
         forecast = forecast * std + mu
-    return swap_last2(forecast), outputs
+    return swap_last2(forecast), records
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +324,7 @@ class CrossScaleNet:
         self.config = config
         self.params = params if params is not None else init_params(config, seed)
 
-    def forward(self, x: Tensor | np.ndarray) -> tuple[Tensor, ScaleOutputs]:
+    def forward(self, x: Tensor | np.ndarray) -> tuple[Tensor, list[AttentionRecord]]:
         return model_forward(x, self.params, self.config)
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -348,9 +336,8 @@ class CrossScaleNet:
         chunks = []
         with suspend_tape():
             for lo in range(0, x.shape[0], batch_size):
-                # index, not unpack: a bound ScaleOutputs would keep this
-                # chunk's per-scale forecasts and attention maps alive
-                # through the next chunk's forward
+                # index, not unpack: bound records would keep this chunk's
+                # attention maps alive through the next chunk's forward
                 chunks.append(self.forward(Tensor(x[lo : lo + batch_size]))[0].data)
         out = np.concatenate(chunks, axis=0)
         return out[0] if single else out

@@ -257,13 +257,6 @@ def export_dataset(features: np.ndarray, target: np.ndarray, spec: SynthSpec, pa
     return path
 
 
-def load_dataset(path) -> tuple[np.ndarray, np.ndarray, SynthSpec]:
-    path = Path(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    spec = SynthSpec.from_dict(json.loads(path.with_suffix(".json").read_text()))
-    return data[:, :-1], data[:, -1], spec
-
-
 def export_mask(truth: SaliencyTruth, path) -> Path:
     path = Path(path)
     np.savetxt(path, truth.mask, fmt="%d", delimiter=",")

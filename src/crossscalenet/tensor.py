@@ -74,11 +74,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Row-major flat view of the buffer."""
-        return self.data.reshape(-1)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -183,12 +178,12 @@ class Tape:
             self._tensors.setdefault(id(t), t)
         self._ops.append((tuple(id(t) for t in inputs), id(output), backward))
 
-    def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
+    def backward(self, loss: Tensor) -> None:
         """Reverse-topological gradient accumulation from a scalar loss.
 
-        Gradients sum over fan-out. Returns the ``id(tensor)`` -> gradient
-        map and stores gradients on every requires_grad tensor recorded on
-        this tape (zeros if the loss does not reach it).
+        Gradients sum over fan-out. Stores them on every requires_grad
+        tensor recorded on this tape (zeros if the loss does not reach it)
+        and returns None.
         """
         if loss.size != 1:
             raise TapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -208,15 +203,6 @@ class Tape:
             if t.requires_grad:
                 g = grads.get(tid)
                 t.grad = np.zeros_like(t.data) if g is None else np.asarray(g)
-        return grads
-
-
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Backward through the active tape (convenience wrapper)."""
-    tape = active_tape()
-    if tape is None:
-        raise TapeError("backward() called with no active tape")
-    return tape.backward(loss)
 
 
 def _as_tensor(x) -> Tensor:

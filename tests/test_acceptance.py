@@ -167,7 +167,7 @@ def test_criterion_1_autodiff(capfd):
 
 
 def test_criterion_2_attention_oracle(capfd):
-    from crossscalenet.attention import AttentionConfig, cross_patch_attention
+    from crossscalenet.attention import cross_patch_attention
 
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 4, 1))
@@ -176,8 +176,7 @@ def test_criterion_2_attention_oracle(capfd):
     worst = 0.0
     for variant in ("cross_dual_key", "cross_shared_key", "patch_attention", "self_attention"):
         w = make_weights(1, rng)
-        cfg = AttentionConfig(patch_len=2, variant=variant, model_dim=1)
-        ctx, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), cfg, w)
+        ctx, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), variant, 2, w)
         ref_ctx, ref_ap, ref_al = ref_cross_patch(x, k1, k2, 2, weights_as_dict(w), variant)
         dev = np.max(np.abs(ctx.data - ref_ctx))
         dev = max(dev, np.max(np.abs(record.patch_weights - ref_ap)))
@@ -219,19 +218,18 @@ def test_criterion_3_decomposition(capfd):
 
 
 def test_criterion_4_attention_normalization(capfd):
-    from crossscalenet.attention import AttentionConfig, cross_patch_attention
+    from crossscalenet.attention import cross_patch_attention
 
     rng = np.random.default_rng(4)
     checked = 0
     for variant in ("self_attention", "patch_attention", "cross_shared_key", "cross_dual_key"):
-        cfg = AttentionConfig(patch_len=3, variant=variant, model_dim=3)
         w = make_weights(3, rng)
         for _ in range(100):
             t = int(rng.choice([6, 9, 12]))
             x = rng.normal(size=(2, t, 3)) * rng.uniform(0.2, 5.0)
             k1 = rng.normal(size=(2, t, 3))
             k2 = rng.normal(size=(2, t, 3))
-            _, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), cfg, w)
+            _, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), variant, 3, w)
             record.validate(tol=1e-6)
             checked += 1
     with capfd.disabled():

@@ -7,7 +7,6 @@ import pytest
 
 from crossscalenet.attention import (
     VARIANTS,
-    AttentionConfig,
     AttentionRecord,
     AttentionWeights,
     cross_patch_attention,
@@ -125,9 +124,8 @@ def test_matches_brute_force_oracle(variant):
     k1 = rng.normal(size=(b, t, d))
     k2 = rng.normal(size=(b, t, d))
     w = make_weights(d, rng)
-    cfg = AttentionConfig(patch_len=p, variant=variant, model_dim=d)
 
-    ctx, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), cfg, w)
+    ctx, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), variant, p, w)
     ref_ctx, ref_ap, ref_al = ref_cross_patch(x, k1, k2, p, weights_as_dict(w), variant)
 
     assert np.allclose(ctx.data, ref_ctx, atol=1e-10)
@@ -142,8 +140,7 @@ def test_small_instance_oracle_tight():
     k1 = np.array([[[1.0], [0.0], [-0.5], [1.5]]])
     k2 = np.array([[[0.2], [0.9], [-0.1], [0.4]]])
     w = identity_weights(1)
-    cfg = AttentionConfig(patch_len=2, variant="cross_dual_key", model_dim=1)
-    ctx, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), cfg, w)
+    ctx, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), "cross_dual_key", 2, w)
     ref_ctx, ref_ap, ref_al = ref_cross_patch(x, k1, k2, 2, weights_as_dict(w), "cross_dual_key")
     assert np.allclose(ctx.data, ref_ctx, atol=1e-10)
     assert np.allclose(record.patch_weights, ref_ap, atol=1e-10)
@@ -208,10 +205,8 @@ def test_dual_key_with_equal_keys_collapses_to_shared():
     x = rng.normal(size=(2, 8, 3))
     k = rng.normal(size=(2, 8, 3))
     w = make_weights(3, rng)
-    cfg_dual = AttentionConfig(2, "cross_dual_key", 3)
-    cfg_shared = AttentionConfig(2, "cross_shared_key", 3)
-    ctx_d, rec_d = cross_patch_attention(Tensor(x), Tensor(k), Tensor(k), cfg_dual, w)
-    ctx_s, rec_s = cross_patch_attention(Tensor(x), Tensor(k), None, cfg_shared, w)
+    ctx_d, rec_d = cross_patch_attention(Tensor(x), Tensor(k), Tensor(k), "cross_dual_key", 2, w)
+    ctx_s, rec_s = cross_patch_attention(Tensor(x), Tensor(k), None, "cross_shared_key", 2, w)
     assert np.array_equal(ctx_d.data, ctx_s.data)
     assert np.array_equal(rec_d.patch_weights, rec_s.patch_weights)
     assert np.array_equal(rec_d.local_weights, rec_s.local_weights)
@@ -223,8 +218,8 @@ def test_dual_vs_shared_key_differs_only_on_local_path():
     k1 = rng.normal(size=(1, 8, 2))
     k2 = rng.normal(size=(1, 8, 2))
     w = make_weights(2, rng)
-    _, rec_d = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), AttentionConfig(2, "cross_dual_key", 2), w)
-    _, rec_s = cross_patch_attention(Tensor(x), Tensor(k1), None, AttentionConfig(2, "cross_shared_key", 2), w)
+    _, rec_d = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), "cross_dual_key", 2, w)
+    _, rec_s = cross_patch_attention(Tensor(x), Tensor(k1), None, "cross_shared_key", 2, w)
     assert np.allclose(rec_d.patch_weights, rec_s.patch_weights, atol=1e-12)
     assert not np.allclose(rec_d.local_weights, rec_s.local_weights, atol=1e-6)
 
@@ -233,8 +228,7 @@ def test_patch_variant_with_full_length_patch():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(1, 4, 2))
     w = make_weights(2, rng)
-    cfg = AttentionConfig(4, "patch_attention", 2)
-    _, record = cross_patch_attention(Tensor(x), None, None, cfg, w)
+    _, record = cross_patch_attention(Tensor(x), None, None, "patch_attention", 4, w)
     assert record.patch_weights.shape == (1, 1, 1)
     assert np.allclose(record.patch_weights, 1.0)
 
@@ -246,13 +240,12 @@ def test_patch_variant_with_full_length_patch():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rows_normalized_all_variants(variant):
     rng = np.random.default_rng(13)
-    cfg = AttentionConfig(3, variant, 4)
     w = make_weights(4, rng)
     for _ in range(20):
         x = rng.normal(size=(2, 9, 4)) * rng.uniform(0.1, 3.0)
         k1 = rng.normal(size=(2, 9, 4))
         k2 = rng.normal(size=(2, 9, 4))
-        _, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), cfg, w)
+        _, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), variant, 3, w)
         record.validate(tol=1e-6)
 
 
@@ -262,9 +255,8 @@ def test_positive_key_scaling_keeps_rows_normalized():
     k1 = rng.normal(size=(1, 8, 2))
     k2 = rng.normal(size=(1, 8, 2))
     w = make_weights(2, rng)
-    cfg = AttentionConfig(2, "cross_dual_key", 2)
-    _, base = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), cfg, w)
-    _, scaled = cross_patch_attention(Tensor(x), Tensor(3.5 * k1), Tensor(k2), cfg, w)
+    _, base = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), "cross_dual_key", 2, w)
+    _, scaled = cross_patch_attention(Tensor(x), Tensor(3.5 * k1), Tensor(k2), "cross_dual_key", 2, w)
     scaled.validate(tol=1e-6)
     assert not np.allclose(base.patch_weights, scaled.patch_weights, atol=1e-6)
 
@@ -275,10 +267,9 @@ def test_batch_permutation_equivariance():
     k1 = rng.normal(size=(4, 6, 3))
     k2 = rng.normal(size=(4, 6, 3))
     w = make_weights(3, rng)
-    cfg = AttentionConfig(2, "cross_dual_key", 3)
     perm = np.array([2, 0, 3, 1])
-    ctx, _ = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), cfg, w)
-    ctx_p, _ = cross_patch_attention(Tensor(x[perm]), Tensor(k1[perm]), Tensor(k2[perm]), cfg, w)
+    ctx, _ = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), "cross_dual_key", 2, w)
+    ctx_p, _ = cross_patch_attention(Tensor(x[perm]), Tensor(k1[perm]), Tensor(k2[perm]), "cross_dual_key", 2, w)
     assert np.allclose(ctx.data[perm], ctx_p.data, atol=1e-12)
 
 
@@ -289,10 +280,9 @@ def test_gradients_through_attention(variant):
     k1 = Tensor(rng.normal(size=(b, t, d)))
     k2 = Tensor(rng.normal(size=(b, t, d)))
     w = make_weights(d, rng)
-    cfg = AttentionConfig(p, variant, d)
 
     def f(x):
-        ctx, _ = cross_patch_attention(x, k1, k2, cfg, w)
+        ctx, _ = cross_patch_attention(x, k1, k2, variant, p, w)
         return sum_all(ctx * ctx)
 
     report = grad_check(f, rng.normal(size=(b, t, d)), tol=1e-4)
@@ -305,7 +295,6 @@ def test_gradients_reach_projection_weights():
     x = Tensor(rng.normal(size=(b, t, d)))
     k1 = Tensor(rng.normal(size=(b, t, d)))
     k2 = Tensor(rng.normal(size=(b, t, d)))
-    cfg = AttentionConfig(p, "cross_dual_key", d)
 
     base = make_weights(d, rng)
 
@@ -313,7 +302,7 @@ def test_gradients_reach_projection_weights():
         def f(wt):
             kwargs = {n.split(".")[-1]: t for n, t in base.named()}
             kwargs[name] = wt
-            ctx, _ = cross_patch_attention(x, k1, k2, cfg, AttentionWeights(**kwargs), 0)
+            ctx, _ = cross_patch_attention(x, k1, k2, "cross_dual_key", p, AttentionWeights(**kwargs), 0)
             return sum_all(ctx * ctx)
 
         return f
@@ -328,7 +317,6 @@ def test_records_are_read_only_and_reading_them_keeps_gradients(variant):
     # the record shares its weights with the tape, without a copy
     rng = np.random.default_rng(19)
     x, k1, k2 = (rng.normal(size=(2, 8, 3)) for _ in range(3))
-    cfg = AttentionConfig(2, variant, 3)
 
     def gradients(read_records):
         w = make_weights(3, np.random.default_rng(20))
@@ -336,7 +324,7 @@ def test_records_are_read_only_and_reading_them_keeps_gradients(variant):
             t.requires_grad = True
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            ctx, record = cross_patch_attention(xt, Tensor(k1), Tensor(k2), cfg, w)
+            ctx, record = cross_patch_attention(xt, Tensor(k1), Tensor(k2), variant, 2, w)
             if read_records:
                 record.validate()
                 for arr in (record.patch_weights, record.local_weights):
@@ -352,16 +340,23 @@ def test_records_are_read_only_and_reading_them_keeps_gradients(variant):
 
 
 # ---------------------------------------------------------------------------
-# config and error handling
+# argument and error handling
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AttentionConfig(0, "cross_dual_key", 2)
-    with pytest.raises(ValueError):
-        AttentionConfig(2, "fancy_attention", 2)
-    with pytest.raises(ValueError):
-        AttentionConfig(2, "cross_dual_key", 0)
+def test_argument_validation():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(1, 8, 2)))
+    w = make_weights(2, rng)
+    with pytest.raises(ValueError, match="unknown variant 'fancy_attention'"):
+        cross_patch_attention(x, x, x, "fancy_attention", 2, w)
+    with pytest.raises(ValueError, match="patch_len must be >= 1, got 0"):
+        cross_patch_attention(x, x, x, "cross_dual_key", 0, w)
+    # the input's width is the model dimension: weights of another width
+    # fail in the projection
+    wide = Tensor(rng.normal(size=(1, 8, 3)))
+    for variant in VARIANTS:
+        with pytest.raises(ShapeError):
+            cross_patch_attention(wide, wide, wide, variant, 2, w)
 
 
 def test_shape_mismatch_errors():
@@ -369,16 +364,15 @@ def test_shape_mismatch_errors():
     x = Tensor(rng.normal(size=(1, 8, 2)))
     short = Tensor(rng.normal(size=(1, 6, 2)))
     w = make_weights(2, rng)
-    cfg = AttentionConfig(2, "cross_dual_key", 2)
     with pytest.raises(ShapeError):
-        cross_patch_attention(x, short, short, cfg, w)
+        cross_patch_attention(x, short, short, "cross_dual_key", 2, w)
     with pytest.raises(ShapeError):
-        cross_patch_attention(x, None, None, cfg, w)
+        cross_patch_attention(x, None, None, "cross_dual_key", 2, w)
     # a missing key is named with the variant that reads it
     with pytest.raises(ShapeError, match="cross_shared_key requires the forecast key"):
-        cross_patch_attention(x, None, x, AttentionConfig(2, "cross_shared_key", 2), w)
+        cross_patch_attention(x, None, x, "cross_shared_key", 2, w)
     with pytest.raises(ShapeError, match="cross_dual_key requires the seasonal key"):
-        cross_patch_attention(x, x, None, cfg, w)
+        cross_patch_attention(x, x, None, "cross_dual_key", 2, w)
 
 
 def test_record_validate_catches_corruption():

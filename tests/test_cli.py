@@ -68,6 +68,20 @@ def test_gen_unknown_dataset_fails(tmp_path, capsys):
     assert "SYN99" in one_error_line(capsys)
 
 
+def test_gen_samples_zero_is_rejected_not_defaulted(tmp_path, capsys):
+    # 0 is a sample count, not "unset": it reaches SynthSpec, which rejects it
+    assert run("gen", "--dataset", "SYN1", "--samples", "0", "--out", tmp_path / "x") == 2
+    assert "n_samples must be >= 1" in one_error_line(capsys)
+    spec_file = tmp_path / "custom.json"
+    spec_file.write_text(json.dumps({
+        "name": "custom", "important_lags": [1, 2], "important_features": [0],
+        "noise_sigma": 0.0, "n_features": 3, "n_samples": 150, "seed": 7,
+    }))
+    assert run("gen", "--spec", spec_file, "--samples", "0", "--out", tmp_path / "y") == 2
+    assert "n_samples must be >= 1" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+
 def test_gen_custom_spec_file(tmp_path):
     spec_file = tmp_path / "custom.json"
     spec_file.write_text(json.dumps({
@@ -307,6 +321,15 @@ def test_non_finite_checkpoint_weights_exit_2(gen_dir, train_dir, tmp_path, caps
     assert run("explain", "--checkpoint", tmp_path / "inf.ckpt", "--data", gen_dir / "SYN1.csv",
                "--ig-steps", "2", "--ig-windows", "1", "--out", tmp_path / "x") == 2
     assert "non-finite" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("windows", ["0", "-1"])
+def test_explain_rejects_fewer_than_one_ig_window(gen_dir, train_dir, tmp_path, capsys, windows):
+    # 0 windows used to divide by zero and write NaN into report.json
+    assert run("explain", "--checkpoint", train_dir / "model.ckpt", "--data", gen_dir / "SYN1.csv",
+               "--ig-steps", "2", "--ig-windows", windows, "--out", tmp_path / "x") == 2
+    assert f"n_windows must be >= 1, got {windows}" in one_error_line(capsys)
+    assert not (tmp_path / "x" / "report.json").exists()
 
 
 def test_corrupt_checkpoint_archive_exits_2(gen_dir, train_dir, tmp_path, capsys):

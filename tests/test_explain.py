@@ -148,7 +148,7 @@ def test_collect_records_streams_the_window_mean(variant):
     cfg = ModelConfig(**{**DESK, "n_scales": 3, "patch_len": 4, "decomp_kernel": 5, "variant": variant})
     model = CrossScaleNet(cfg, seed=6)
     x = RNG.normal(size=(20, DESK["lookback"], DESK["n_features"]))
-    per_window = [model.forward(x[i : i + 1])[1].records for i in range(len(x))]
+    per_window = [model.forward(x[i : i + 1])[1] for i in range(len(x))]
     for batch_size in (1, 7, 256):  # 7 leaves a ragged last batch of 6
         records = collect_records(model, x, batch_size=batch_size)
         assert [r.scale_index for r in records] == [2, 3]
@@ -472,6 +472,13 @@ def test_build_report_names_an_empty_split():
                                       decomp_kernel=5))
     with pytest.raises(ValueError, match="split 'test' is empty"):
         build_report(model, ds)
+
+
+def test_ig_attribution_map_rejects_fewer_than_one_window(trained_setup):
+    model, ds = trained_setup
+    for n_windows in (0, -1):
+        with pytest.raises(ValueError, match=f"n_windows must be >= 1, got {n_windows}"):
+            ig_attribution_map(model, ds, steps=2, n_windows=n_windows)
 
 
 def test_report_rejects_mismatched_truth(trained_setup):

@@ -133,7 +133,7 @@ def test_scale_forward_zero_valued_attention_is_identity_path():
 
     x = Tensor(RNG.normal(size=(2, 8, 2)))
     keys = channels_first(RNG.normal(size=(2, 8, 2)))
-    y_att, ys_att, yt_att, record = scale_forward(channels_first(x.data), keys, keys, cfg, params, 2)
+    y_att, _, record = scale_forward(channels_first(x.data), keys, keys, cfg, params, 2)
     assert record is not None
 
     # reference: the plain no-attention pathway through the same encoders
@@ -152,13 +152,13 @@ def test_folded_decomposition_matches_explicit_decompose(seq_len, kernel):
                       decomp_kernel=kernel, hidden_dim=8)
     params = init_params(cfg, seed=seq_len + kernel)
     x = RNG.normal(size=(2, seq_len, 3)) * 3.0
-    y, y_seasonal, y_trend, _ = scale_forward(channels_first(x), None, None, cfg, params, 1)
+    y, y_seasonal, _ = scale_forward(channels_first(x), None, None, cfg, params, 1)
 
     seasonal, trend = decompose(Tensor(x), kernel)
     ys_ref = encoder_forward(channels_first(seasonal.data), params.seasonal[0]).data
     yt_ref = encoder_forward(channels_first(trend.data), params.trend[0]).data
     assert np.max(np.abs(y_seasonal.data - ys_ref)) < 1e-12
-    assert np.max(np.abs(y_trend.data - yt_ref)) < 1e-12
+    assert np.max(np.abs((y.data - y_seasonal.data) - yt_ref)) < 1e-12
     assert np.max(np.abs(y.data - (ys_ref + yt_ref))) < 1e-12
 
 
@@ -175,7 +175,7 @@ def test_scale_forward_without_keys_for_internal_key_variants(variant):
     cfg = small_config(variant=variant)
     params = init_params(cfg, seed=4)
     x = RNG.normal(size=(2, 8, 2))
-    y, _, _, record = scale_forward(channels_first(x), None, None, cfg, params, 2)
+    y, _, record = scale_forward(channels_first(x), None, None, cfg, params, 2)
     assert y.shape == (2, 2, cfg.horizon)
     record.validate()
     assert record.patch_len == (1 if variant == "self_attention" else cfg.patch_len)
@@ -190,7 +190,7 @@ def test_scale_forward_matches_scripted_oracle():
     k1 = RNG.normal(size=(1, 8, 2))
     k2 = RNG.normal(size=(1, 8, 2))
 
-    y, y_seasonal, y_trend, _ = scale_forward(
+    y, y_seasonal, _ = scale_forward(
         channels_first(x), channels_first(k1), channels_first(k2), cfg, params, 2
     )
 
@@ -202,7 +202,7 @@ def test_scale_forward_matches_scripted_oracle():
     yt_ref = ref_encoder(trend_ref, params.trend[1])
 
     assert np.allclose(np.swapaxes(y_seasonal.data, 1, 2), ys_ref, atol=1e-10)
-    assert np.allclose(np.swapaxes(y_trend.data, 1, 2), yt_ref, atol=1e-10)
+    assert np.allclose(np.swapaxes(y.data - y_seasonal.data, 1, 2), yt_ref, atol=1e-10)
     assert np.allclose(np.swapaxes(y.data, 1, 2), ys_ref + yt_ref, atol=1e-10)
 
 
@@ -322,9 +322,9 @@ def test_patch_len_checked_only_for_variants_with_patches():
     # self-attention attends over one-step patches and never reads patch_len
     cfg = ModelConfig(lookback=96, horizon=16, n_features=7, n_scales=3, patch_len=32,
                       variant="self_attention")
-    forecast, outputs = model_forward(RNG.normal(size=(2, 96, 7)), init_params(cfg, seed=27), cfg)
+    forecast, records = model_forward(RNG.normal(size=(2, 96, 7)), init_params(cfg, seed=27), cfg)
     assert forecast.shape == (2, 16, 7)
-    assert [r.patch_len for r in outputs.records] == [1, 1]
+    assert [r.patch_len for r in records] == [1, 1]
     for variant in VARIANTS:
         if variant != "self_attention":
             with pytest.raises(ValueError, match="coarsest scale length 24 < patch_len 32"):
@@ -345,12 +345,14 @@ def test_forward_shapes_and_record_count():
         cfg = ModelConfig(lookback=32, horizon=8, n_features=3, n_scales=m, patch_len=4,
                           decomp_kernel=5, hidden_dim=8)
         model = CrossScaleNet(cfg, seed=7)
-        forecast, outputs = model.forward(RNG.normal(size=(4, 32, 3)))
+        forecast, records = model.forward(RNG.normal(size=(4, 32, 3)))
         assert forecast.shape == (4, 8, 3)
-        assert len(outputs.records) == m - 1
-        assert len(outputs.predictions) == m
-        for y in outputs.predictions:
-            assert y.shape == (4, 3, 8)  # channels-first
+        assert [r.scale_index for r in records] == list(range(2, m + 1))
+        for r, t_m in zip(records, cfg.scale_lengths[1:]):
+            n = -(-t_m // 4)
+            assert r.seq_len == t_m
+            assert r.patch_weights.shape == (4, n, n)
+            assert r.local_weights.shape == (4, n, 4, 4)
 
 
 def test_single_scale_model_has_no_attention_params():
@@ -529,12 +531,12 @@ def test_tape_free_self_attention_peak_memory():
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            forecast, outputs = model_forward(x, params, cfg)
+            forecast, records = model_forward(x, params, cfg)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
     t2 = cfg.scale_lengths[1]
-    assert outputs.records[0].patch_weights.shape == (32, t2, t2)
+    assert records[0].patch_weights.shape == (32, t2, t2)
     map_bytes = 32 * t2 * t2 * 8
     assert peak <= 2.5 * map_bytes, f"peak {peak / map_bytes:.2f} maps > 2.5"
 

@@ -1,8 +1,11 @@
 """Synthetic benchmark recipes, identifiability oracle, masks, file round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
+from crossscalenet.data import read_csv_matrix
 from crossscalenet.synthgen import (
     BUILTIN_NAMES,
     SaliencyTruth,
@@ -16,7 +19,6 @@ from crossscalenet.synthgen import (
     generate_features,
     generate_target,
     ground_truth_mask,
-    load_dataset,
     load_mask,
 )
 
@@ -247,9 +249,11 @@ def test_export_roundtrip_bit_exact(tmp_path):
     spec = builtin_spec("SYN1", n_samples=300)
     x, y = generate_dataset(spec)
     path = export_dataset(x, y, spec, tmp_path / "syn1.csv")
-    x2, y2, spec2 = load_dataset(path)
-    assert np.array_equal(x, x2)
-    assert np.array_equal(y, y2)
+    header, data = read_csv_matrix(path)
+    spec2 = SynthSpec.from_dict(json.loads(path.with_suffix(".json").read_text()))
+    assert header == [f"feat_{j}" for j in range(spec.n_features)] + ["target"]
+    assert np.array_equal(x, data[:, :-1])
+    assert np.array_equal(y, data[:, -1])
     assert spec2 == spec
 
 
