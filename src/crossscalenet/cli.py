@@ -216,9 +216,10 @@ def cmd_explain(args, explicit: set[str]) -> int:
             )
 
     ratios = tuple(float(r) for r in resolved["ratios"].split(","))
-    out = _prepare_out(resolved["out"] or Path(_out_root()) / "explain")
     report = build_report(model, dataset, truth=truth, ratios=ratios,
                           ig_steps=resolved["ig_steps"], ig_windows=resolved["ig_windows"])
+    # made only now, so a run that fails leaves no empty directory behind
+    out = _prepare_out(resolved["out"] or Path(_out_root()) / "explain")
     export_report_files(report, out)
     _write_snapshot(out, "explain", resolved)
     print(f"report and heatmaps under {out}")

@@ -91,16 +91,19 @@ def aggregate_saliency(records: list[AttentionRecord], lookback: int) -> Salienc
 def collect_records(
     model: CrossScaleNet,
     windows: np.ndarray,
-    batch_size: int = 256,
+    batch_size: int | None = None,
 ) -> list[AttentionRecord]:
-    """Forward a stack of windows in batches and average the attention per scale.
+    """Forward a stack of windows in chunks and average the attention per scale.
 
-    Returns one record per scale >= 2 with B = 1: its patch and local
-    weights are the mean over all windows. Only a running per-scale sum is
-    kept between batches, so memory is bounded by one batch, not by the
-    number of windows. A mean of row-stochastic matrices is row-stochastic,
-    so the records still ``validate()``. No windows give no records.
+    Chunks hold ``model.chunk_size(batch_size)`` windows, the rule
+    ``predict`` uses. Returns one record per scale >= 2 with B = 1: its
+    patch and local weights are the mean over all windows. Only a running
+    per-scale sum is kept between chunks, so memory is bounded by one
+    chunk, not by the number of windows. A mean of row-stochastic matrices
+    is row-stochastic, so the records still ``validate()``. No windows give
+    no records.
     """
+    batch_size = model.chunk_size(batch_size)
     totals: dict[int, AttentionRecord] = {}
     with suspend_tape():
         for lo in range(0, len(windows), batch_size):
@@ -210,9 +213,18 @@ def perturb(window: np.ndarray, mask: np.ndarray, mode: str) -> np.ndarray:
     return np.where(mask, means, window)
 
 
-def _top_ratio_mask(saliency, lookback: int, ratio: float) -> np.ndarray:
+def _check_ratio(ratio: float) -> None:
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
+
+
+def _check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _top_ratio_mask(saliency, lookback: int, ratio: float) -> np.ndarray:
+    _check_ratio(ratio)
     values = saliency.values if isinstance(saliency, SaliencyVector) else np.asarray(saliency)
     if len(values) != lookback:
         raise ValueError(f"saliency length {len(values)} != lookback {lookback}")
@@ -315,8 +327,9 @@ def feature_ablation(
 # ---------------------------------------------------------------------------
 # integrated gradients
 
-# Path points per tape: predict's batch size, which bounds a tape's memory
-# at any step count.
+# Path points per tape, which bounds a tape's memory at any step count. Not
+# the tape-free chunk rule: a tape also holds the backward's activations,
+# so its size needs its own measurement.
 _IG_BATCH = 256
 
 
@@ -360,8 +373,7 @@ def integrated_gradients(
     chunks of at most 256 points, so the default 64 steps take one call.
     Stacking is exact for a model whose ops act within one window.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_positive("steps", steps)
     window = np.asarray(window, dtype=np.float64)
     if baseline is None:
         baseline = np.broadcast_to(window.mean(axis=0, keepdims=True), window.shape)
@@ -384,8 +396,7 @@ def ig_attribution_map(
     n_windows: int = 16,
 ) -> np.ndarray:
     """Mean |IG| over a deterministic sample of test windows, shape (T, F)."""
-    if n_windows < 1:
-        raise ValueError(f"n_windows must be >= 1, got {n_windows}")
+    _check_positive("n_windows", n_windows)
     x, _ = dataset.windows("test")
     if len(x) == 0:
         raise ValueError("split 'test' is empty")
@@ -445,7 +456,15 @@ def build_report(
     ig_steps: int = 64,
     ig_windows: int = 16,
 ) -> ExplainReport:
-    """The whole battery, scored on the test windows."""
+    """The whole battery, scored on the test windows.
+
+    Every argument is checked before the first forward pass, so a bad one
+    costs no work.
+    """
+    for ratio in ratios:
+        _check_ratio(ratio)
+    _check_positive("steps", ig_steps)
+    _check_positive("n_windows", ig_windows)
     if dataset.n_windows("test") == 0:
         raise ValueError("split 'test' is empty")
     saliency = model_saliency(model, dataset)

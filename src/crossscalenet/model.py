@@ -58,6 +58,8 @@ from .tensor import (
 )
 
 INSTANCE_NORM_EPS = 1e-5
+# Input cells per tape-free chunk: 256 windows at lookback 96 with 7 columns.
+_CHUNK_CELLS = 256 * 96 * 7
 
 
 @dataclass
@@ -327,18 +329,39 @@ class CrossScaleNet:
     def forward(self, x: Tensor | np.ndarray) -> tuple[Tensor, list[AttentionRecord]]:
         return model_forward(x, self.params, self.config)
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Tape-free batched inference. (N, T, D) -> (N, H, D)."""
+    def chunk_size(self, batch_size: int | None = None) -> int:
+        """Windows per chunk of a tape-free pass; ``batch_size`` overrides the rule.
+
+        The rule, max(1, min(256, 256 * 96 * 7 // (lookback * n_features))),
+        caps a chunk's input cells at those of 256 windows at lookback 96
+        with 7 columns, because a chunk's activations grow with its cells.
+        With 7 columns, lookback 96 gets 256 windows and lookback 336 gets 73.
+        """
+        if batch_size is None:
+            cells = self.config.lookback * self.config.n_features
+            return max(1, min(256, _CHUNK_CELLS // cells))
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        return batch_size
+
+    def predict(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+        """Tape-free inference in chunks of ``chunk_size(batch_size)`` windows.
+
+        (N, T, D) -> (N, H, D); one (T, D) window gives (H, D). Every op
+        acts within one window, so the chunking does not change a forecast.
+        """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 2
         if single:
             x = x[None]
+        size = self.chunk_size(batch_size)
         chunks = []
         with suspend_tape():
-            for lo in range(0, x.shape[0], batch_size):
+            # an empty stack still takes one forward, which checks its shape
+            for lo in range(0, max(x.shape[0], 1), size):
                 # index, not unpack: bound records would keep this chunk's
                 # attention maps alive through the next chunk's forward
-                chunks.append(self.forward(Tensor(x[lo : lo + batch_size]))[0].data)
+                chunks.append(self.forward(Tensor(x[lo : lo + size]))[0].data)
         out = np.concatenate(chunks, axis=0)
         return out[0] if single else out
 

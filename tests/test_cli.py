@@ -329,7 +329,22 @@ def test_explain_rejects_fewer_than_one_ig_window(gen_dir, train_dir, tmp_path, 
     assert run("explain", "--checkpoint", train_dir / "model.ckpt", "--data", gen_dir / "SYN1.csv",
                "--ig-steps", "2", "--ig-windows", windows, "--out", tmp_path / "x") == 2
     assert f"n_windows must be >= 1, got {windows}" in one_error_line(capsys)
-    assert not (tmp_path / "x" / "report.json").exists()
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ratios", "0.1,1.5", "ratio must be in (0, 1], got 1.5"),
+    ("--ig-steps", "0", "steps must be >= 1, got 0"),
+], ids=["ratio", "ig_steps"])
+def test_explain_rejects_bad_arguments_before_it_works(gen_dir, train_dir, tmp_path, capsys,
+                                                        flag, value, message):
+    # a bad ratio used to fail only after the battery had run, and both
+    # runs left an empty --out directory behind
+    args = {"--ig-steps": "2", "--ig-windows": "1", flag: value}
+    assert run("explain", "--checkpoint", train_dir / "model.ckpt", "--data", gen_dir / "SYN1.csv",
+               *[s for pair in args.items() for s in pair], "--out", tmp_path / "x") == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
 
 
 def test_corrupt_checkpoint_archive_exits_2(gen_dir, train_dir, tmp_path, capsys):

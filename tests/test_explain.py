@@ -190,6 +190,58 @@ def test_inference_memory_is_bounded_by_one_batch(variant):
         assert eight / one <= 1.2, f"{name}: peak {eight} B over 8 batches vs {one} B over 1"
 
 
+def test_collect_records_rejects_a_chunk_below_one_window():
+    # -1 used to return [] silently
+    model = CrossScaleNet(ModelConfig(**DESK), seed=4)
+    x = RNG.normal(size=(3, DESK["lookback"], DESK["n_features"]))
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got -1"):
+        collect_records(model, x, batch_size=-1)
+
+
+def _long_model(variant: str, lookback: int = 336) -> CrossScaleNet:
+    cfg = ModelConfig(lookback=lookback, horizon=16, n_features=7, n_scales=3, patch_len=16,
+                      variant=variant)
+    return CrossScaleNet(cfg, seed=8)
+
+
+@pytest.mark.parametrize("variant", ["self_attention", "cross_dual_key"])
+def test_default_chunks_match_256_window_chunks_at_lookback_336(variant):
+    model = _long_model(variant)
+    x = RNG.normal(size=(160, 336, 7))  # 73 + 73 + 14 windows vs one chunk of 160
+    assert model.chunk_size() == 73
+    assert np.array_equal(model.predict(x), model.predict(x, batch_size=256))
+    chunked, whole = collect_records(model, x), collect_records(model, x, batch_size=256)
+    assert [r.scale_index for r in chunked] == [r.scale_index for r in whole]
+    for a, b in zip(chunked, whole):
+        # only the order of the sum over windows differs
+        np.testing.assert_allclose(a.patch_weights, b.patch_weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a.local_weights, b.local_weights, rtol=0, atol=1e-15)
+
+
+# Peak at lookback 336 over peak at lookback 96, 256 windows each. Measured:
+# dual key 1.17 (predict) and 1.17 (collect_records), self-attention 1.96
+# and 1.99. With 256-window chunks at every lookback they read 4.07 and
+# 6.80: activations grow with the lookback, self-attention's maps with its
+# square.
+LONG_PEAK_RATIO = {"cross_dual_key": 1.5, "self_attention": 2.5}
+
+
+@pytest.mark.parametrize("variant", ["self_attention", "cross_dual_key"])
+def test_default_chunk_peak_memory_barely_grows_with_the_lookback(variant):
+    peaks = {}
+    for lookback in (96, 336):
+        model = _long_model(variant, lookback)
+        x = RNG.normal(size=(256, lookback, 7))
+        model.predict(x[:8])  # warm-up outside the trace
+        peaks[lookback] = {
+            "predict": _traced_peak(lambda: model.predict(x)),
+            "collect_records": _traced_peak(lambda: collect_records(model, x)),
+        }
+    for name in ("predict", "collect_records"):
+        ratio = peaks[336][name] / peaks[96][name]
+        assert ratio <= LONG_PEAK_RATIO[variant], f"{name}: lookback 336 peaks at {ratio:.2f}x lookback 96"
+
+
 # ---------------------------------------------------------------------------
 # agreement
 
@@ -479,6 +531,23 @@ def test_ig_attribution_map_rejects_fewer_than_one_window(trained_setup):
     for n_windows in (0, -1):
         with pytest.raises(ValueError, match=f"n_windows must be >= 1, got {n_windows}"):
             ig_attribution_map(model, ds, steps=2, n_windows=n_windows)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"ratios": (0.1, 1.5)}, r"ratio must be in \(0, 1\], got 1.5"),
+    ({"ig_steps": 0}, "steps must be >= 1, got 0"),
+    ({"ig_windows": 0}, "n_windows must be >= 1, got 0"),
+], ids=["ratio", "ig_steps", "ig_windows"])
+def test_build_report_checks_its_arguments_before_any_forward(monkeypatch, trained_setup, kwargs, message):
+    # a bad last ratio used to surface only after saliency, IG and ablation had run
+    model, ds = trained_setup
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward pass before the arguments were checked")
+
+    monkeypatch.setattr(model, "forward", no_forward)
+    with pytest.raises(ValueError, match=message):
+        build_report(model, ds, **kwargs)
 
 
 def test_report_rejects_mismatched_truth(trained_setup):

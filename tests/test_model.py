@@ -542,6 +542,36 @@ def test_tape_free_self_attention_peak_memory():
 
 
 # ---------------------------------------------------------------------------
+# tape-free chunks
+
+
+def test_chunk_rule_keeps_input_cells_of_256_acceptance_windows():
+    def chunk(lookback, n_features=7):
+        cfg = ModelConfig(lookback=lookback, horizon=16, n_features=n_features, n_scales=3, patch_len=16)
+        return CrossScaleNet(cfg, seed=0).chunk_size()
+
+    assert chunk(96) == 256  # the acceptance config keeps its one code path
+    assert chunk(336) == 73  # floor(256 * 96 * 7 / (336 * 7))
+    assert chunk(96, n_features=1) == 256  # never above 256
+    assert chunk(30_000) == 1  # never below 1
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_rejects_a_chunk_below_one_window(batch_size):
+    # 0 used to raise range()'s message and -1 numpy's concatenate message
+    model = CrossScaleNet(small_config(), seed=0)
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        model.predict(RNG.normal(size=(3, 16, 2)), batch_size=batch_size)
+
+
+def test_predict_on_an_empty_stack_gives_an_empty_forecast():
+    model = CrossScaleNet(small_config(), seed=0)
+    assert model.predict(np.zeros((0, 16, 2))).shape == (0, 4, 2)
+    with pytest.raises(ShapeError):
+        model.predict(np.zeros((0, 15, 2)))
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 
