@@ -21,7 +21,7 @@ local path. Callers build only the key streams a variant reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,30 +65,14 @@ class AttentionWeights:
 
     def __post_init__(self):
         dim = self.w_query.shape[-1]
-        for name in ("w_query", "w_key", "w_value", "w_local_query", "w_local_key", "w_local_value"):
-            t = getattr(self, name)
-            if t is None:
-                continue
+        for name, t in self.named():
             if t.shape != (dim, dim):
                 raise ShapeError(f"{name} must be square of dim {dim}, got {t.shape}")
 
-    @property
-    def has_local(self) -> bool:
-        return self.w_local_query is not None
-
     def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        out = [
-            (prefix + "w_query", self.w_query),
-            (prefix + "w_key", self.w_key),
-            (prefix + "w_value", self.w_value),
-        ]
-        if self.has_local:
-            out += [
-                (prefix + "w_local_query", self.w_local_query),
-                (prefix + "w_local_key", self.w_local_key),
-                (prefix + "w_local_value", self.w_local_value),
-            ]
-        return out
+        """The projections that are set, patch path first."""
+        return [(prefix + f.name, getattr(self, f.name)) for f in fields(self)
+                if getattr(self, f.name) is not None]
 
 
 @dataclass
@@ -189,14 +173,15 @@ def cross_patch_attention(
 ) -> tuple[Tensor, AttentionRecord]:
     """Combined patch + local attention context for one scale.
 
-    The variant's row of ``KEY_SOURCES`` names the stream each path keys
-    on; a key it does not read may be None. Without a local key (the
-    self_attention variant) the patches are one time step long and the
-    patch context is the whole context, whatever ``patch_len`` says. The
-    input's width D is the model dimension: weights of another width
-    raise ``ShapeError`` in the projection.
+    Takes the input and keys channels-first, (B, D, T), like the forward
+    pass. The variant's row of ``KEY_SOURCES`` names the stream each path
+    keys on; a key it does not read may be None. Without a local key (the
+    self_attention variant) the patches are one time step long and carry
+    only the patch context, whatever ``patch_len`` says. The input's
+    width D is the model dimension: weights of another width raise
+    ``ShapeError`` in the projection.
 
-    Returns the context at input resolution (B, T, D) and the attention
+    Returns the context at input resolution (B, D, T) and the attention
     record for saliency extraction.
     """
     if variant not in VARIANTS:
@@ -204,8 +189,8 @@ def cross_patch_attention(
     if patch_len < 1:
         raise ValueError(f"patch_len must be >= 1, got {patch_len}")
     if x.ndim != 3:
-        raise ShapeError(f"cross_patch_attention expects (B, T, D), got {x.shape}")
-    b, seq_len, dim = x.shape
+        raise ShapeError(f"cross_patch_attention expects (B, D, T), got {x.shape}")
+    b, dim, seq_len = x.shape
 
     streams = {"input": x, "forecast": key_forecast, "seasonal": key_seasonal}
     patch_src, local_src = KEY_SOURCES[variant]
@@ -220,13 +205,12 @@ def cross_patch_attention(
         patches[src] = patchify(streams[src], patch_len)
 
     ctx_patch, attn_patch = patch_attention(patches["input"], patches[patch_src], weights)
+    # the patch context broadcasts over each patch's P positions
+    context = reshape(ctx_patch, (b, ctx_patch.shape[1], 1, dim))
     if local_src:
         ctx_local, attn_local = local_attention(patches["input"], patches[local_src], weights)
-        # the patch context broadcasts over each patch's P positions
-        n = ctx_patch.shape[1]
-        context = unpatchify(ctx_local + reshape(ctx_patch, (b, n, 1, dim)), seq_len)
+        context = ctx_local + context
     else:
-        context = ctx_patch  # one-step patches: (B, T, D) already
         attn_local = np.broadcast_to(1.0, (b, seq_len, 1, 1))  # read-only, like the maps
 
     record = AttentionRecord(
@@ -236,4 +220,4 @@ def cross_patch_attention(
         patch_len=patch_len,
         seq_len=seq_len,
     )
-    return context, record
+    return unpatchify(context, seq_len), record

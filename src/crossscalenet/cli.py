@@ -2,8 +2,9 @@
 
 Every command resolves its parameters from an optional JSON config file
 plus flags (flags win), writes a resolved-config snapshot next to its
-outputs, and touches nothing outside --out. The default output root is
-$CROSSSCALENET_OUT or ./runs.
+outputs, and touches nothing outside --out. A config value is read as
+its flag reads its command-line text; null keeps the flag's default.
+The default output root is $CROSSSCALENET_OUT or ./runs.
 """
 
 from __future__ import annotations
@@ -45,20 +46,45 @@ def _out_root() -> str:
     return os.environ.get("CROSSSCALENET_OUT", "runs")
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object in a file; anything else raises ValueError naming the file."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _config_value(action: argparse.Action, value, where: str):
+    """A config file's value for one flag, read as the flag reads its command-line text."""
+    if action.nargs == 0:  # a switch such as --no-instance-norm
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"{where}: expected true or false, got {json.dumps(value)}")
+    read = action.type or str
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return read(str(value))
+        except ValueError:
+            pass
+    raise ValueError(f"{where}: expected {read.__name__}, got {json.dumps(value)}")
+
+
 def _resolve(args: argparse.Namespace, explicit: set[str]) -> dict:
     """Merge JSON config file and flags; flags given on the command line win."""
     resolved = {k: v for k, v in vars(args).items()
                 if k not in ("func", "config", "subparser", "command")}
     config_path = getattr(args, "config", None)
     if config_path:
-        file_values = json.loads(Path(config_path).read_text())
-        for key, value in file_values.items():
+        actions = {a.dest: a for a in args.subparser._actions}
+        for key, value in _read_json_object(config_path).items():
             if key not in resolved:
                 raise ValueError(f"unknown config key {key!r} in {config_path}")
-            if key not in explicit:
-                resolved[key] = value
-    # a config file may set "seed": null; 0 is a seed like any other
-    resolved["seed"] = DEFAULT_SEED if resolved.get("seed") is None else int(resolved["seed"])
+            # null keeps the flag's default, as "seed": null keeps the default seed
+            if key not in explicit and value is not None:
+                resolved[key] = _config_value(actions[key], value, f"{config_path}: key {key!r}")
     return resolved
 
 
@@ -90,11 +116,11 @@ def _load_spec(resolved: dict) -> SynthSpec:
     # None, not falsy: --samples 0 reaches SynthSpec, which rejects it
     samples = resolved["samples"]
     if resolved.get("spec"):
-        raw = json.loads(Path(resolved["spec"]).read_text())
+        raw = _read_json_object(resolved["spec"])
         raw.setdefault("seed", resolved["seed"])
         if samples is not None:
             raw["n_samples"] = samples
-        return SynthSpec.from_dict(raw)
+        return SynthSpec.from_dict(raw, source=f"{resolved['spec']}: ")
     name = resolved["dataset"]
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown dataset {name!r}; expected one of {BUILTIN_NAMES} or --spec FILE")
@@ -207,14 +233,7 @@ def cmd_explain(args, explicit: set[str]) -> int:
             f"checkpoint was trained on target columns {trained_on}, data targets {dataset.target_columns}"
         )
 
-    truth = None
-    if resolved.get("truth"):
-        truth = load_mask(resolved["truth"])
-        if truth.mask.shape[0] != lookback:
-            raise ValueError(
-                f"truth mask lookback {truth.mask.shape[0]} != checkpoint lookback {lookback}"
-            )
-
+    truth = load_mask(resolved["truth"]) if resolved.get("truth") else None
     ratios = tuple(float(r) for r in resolved["ratios"].split(","))
     report = build_report(model, dataset, truth=truth, ratios=ratios,
                           ig_steps=resolved["ig_steps"], ig_windows=resolved["ig_windows"])
@@ -353,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         # no numpy warnings: tensor._op names the op of a blowup in one NonFiniteError
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args, _explicit_flags(args, argv))
-    except (ValueError, FileNotFoundError, NonFiniteError, TrainingDiverged) as exc:
+    except (ValueError, OSError, NonFiniteError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -122,15 +123,41 @@ def make_windows(
 
 
 def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
-    """Generic numeric CSV with one header row; NaN and Inf cells are rejected."""
+    """Generic numeric CSV with one header row. A file without a header or
+    a data row, and a cell that is not a finite number, raise ValueError
+    naming the file; a bad cell also by its 1-based data row and column."""
     path = Path(path)
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        header = next(csv.reader(fh), None)
+    if not header:
+        raise ValueError(f"{path}: no header row")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected below
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_first_bad_row(path, header) or f"{path}: {exc}") from None
+    if not len(data):
+        raise ValueError(f"{path}: no data rows after the header")
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: header has {len(header)} columns, data has {data.shape[1]}")
     _reject_non_finite(data, header, f"{path}: ")
     return header, data
+
+
+def _first_bad_row(path: Path, header: list[str]) -> str | None:
+    """The first data row (blank lines skipped, as ``np.loadtxt`` skips them) with
+    another cell count than the header or a non-numeric cell, as an error message."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row][1:]
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            return f"{path}: data row {number} has {len(row)} cells, header has {len(header)} columns"
+        for name, cell in zip(header, row):
+            try:
+                float(cell)
+            except ValueError:
+                return f"{path}: non-numeric value {cell!r} in data row {number}, column {name!r}"
 
 
 def _reject_non_finite(data: np.ndarray, column_names: list[str], source: str = "") -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -110,13 +110,8 @@ def collect_records(
             # the comprehension's scope ends with it, so no name keeps this
             # batch's outputs alive through the next forward
             sums = [
-                AttentionRecord(
-                    patch_weights=r.patch_weights.sum(axis=0, keepdims=True),
-                    local_weights=r.local_weights.sum(axis=0, keepdims=True),
-                    scale_index=r.scale_index,
-                    patch_len=r.patch_len,
-                    seq_len=r.seq_len,
-                )
+                replace(r, patch_weights=r.patch_weights.sum(axis=0, keepdims=True),
+                        local_weights=r.local_weights.sum(axis=0, keepdims=True))
                 for r in model.forward(Tensor(windows[lo : lo + batch_size]))[1]
             ]
             for part in sums:
@@ -143,17 +138,8 @@ def model_saliency(model: CrossScaleNet, dataset: WindowDataset) -> SaliencyVect
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def rank_auc(values: np.ndarray, positives: np.ndarray) -> float:
@@ -465,6 +451,8 @@ def build_report(
         _check_ratio(ratio)
     _check_positive("steps", ig_steps)
     _check_positive("n_windows", ig_windows)
+    if truth is not None and truth.mask.shape[0] != dataset.lookback:
+        raise ValueError(f"truth mask lookback {truth.mask.shape[0]} != dataset lookback {dataset.lookback}")
     if dataset.n_windows("test") == 0:
         raise ValueError("split 'test' is empty")
     saliency = model_saliency(model, dataset)
@@ -476,14 +464,6 @@ def build_report(
     ablation_scores = errors.ablation(candidates)
     ig_per_channel = attribution.mean(axis=0)
 
-    agreement = None
-    if truth is not None:
-        if truth.mask.shape[0] != dataset.lookback:
-            raise ValueError(
-                f"truth mask lookback {truth.mask.shape[0]} != dataset lookback {dataset.lookback}"
-            )
-        agreement = saliency_agreement(saliency, truth)
-
     return ExplainReport(
         lookback=dataset.lookback,
         ratios=tuple(ratios),
@@ -493,7 +473,7 @@ def build_report(
         feature_importance_ig={names[c]: float(ig_per_channel[c]) for c in candidates},
         sufficiency={r: errors.masked(saliency, r, "keep") for r in ratios},
         comprehensiveness={r: errors.masked(saliency, r, "remove") for r in ratios},
-        agreement=agreement,
+        agreement=None if truth is None else saliency_agreement(saliency, truth),
     )
 
 

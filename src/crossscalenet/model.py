@@ -12,12 +12,14 @@ outputs are gated by learnable sigmoid weights, concatenated along the
 horizon, and fused by a per-channel FC into the final forecast.
 
 Layout: the forward pass takes (B, T, D) windows and returns (B, H, D)
-forecasts, but keeps activations channels-first, (B, D, T), in between,
-since every temporal op acts on the last axis; attention keeps its
-(B, T, D) contract. Decomposition fold: trend is x @ M.T for a fixed
-moving-average matrix M and feeds only the encoders' first temporal FC,
-so each scale runs both encoders on its undecomposed input with first
-layers W_s = W1_s - M.T @ W1_s and W_t = M.T @ W1_t (tape matmuls, so
+forecasts. Between its entry and exit transposes every activation is
+channels-first, (B, D, T), since every temporal op acts on the last
+axis; attention takes and returns that layout too.
+
+Decomposition fold: trend is x @ M.T for a fixed moving-average matrix
+M and feeds only the encoders' first temporal FC, so each scale runs
+both encoders on its undecomposed input with first layers
+W_s = W1_s - M.T @ W1_s and W_t = M.T @ W1_t (tape matmuls, so
 gradients reach W1). ``decompose`` is the explicit reference.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import copy
 import json
 import zipfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -120,8 +122,7 @@ class EncoderWeights:
     b_channel: Tensor
 
     def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(prefix + name, getattr(self, name)) for name in
-                ("w_time1", "b_time1", "w_time2", "b_time2", "w_channel", "b_channel")]
+        return [(prefix + f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass
@@ -201,9 +202,10 @@ def init_params(config: ModelConfig, seed: int = 0) -> CrossScaleNetParams:
 
 
 def decompose(x: Tensor, kernel: int) -> tuple[Tensor, Tensor]:
-    """Split (B, T, D) into (seasonal, trend); trend is the centered moving
-    average along time, seasonal the residual, so seasonal + trend == x."""
-    trend = swap_last2(moving_average(swap_last2(x), kernel))
+    """Split channels-first (B, D, T) into (seasonal, trend); trend is the
+    centered moving average along time, seasonal the residual, so
+    seasonal + trend == x."""
+    trend = moving_average(x, kernel)
     return x - trend, trend
 
 
@@ -241,23 +243,18 @@ def scale_forward(
     """One scale: attention refinement (scales >= 2), then the seasonal and
     trend encoders with the decomposition folded into their first layer.
 
-    Channels-first: the input and keys are (B, D, T_m), the prediction
-    and its seasonal branch (B, D, H). A key the variant does not read is
-    None and is not transposed; ``cross_patch_attention`` names a missing
-    one. Returns (prediction, seasonal branch, record or None).
+    Channels-first: the input, the keys and the attention context are
+    (B, D, T_m), the prediction and its seasonal branch (B, D, H). A key
+    the variant does not read is None; ``cross_patch_attention`` names a
+    missing one. Returns (prediction, seasonal branch, record or None).
     """
     record = None
     if scale_index >= 2:
         context, record = cross_patch_attention(
-            swap_last2(x_scale),
-            None if key_forecast is None else swap_last2(key_forecast),
-            None if key_seasonal is None else swap_last2(key_seasonal),
-            config.variant,
-            config.patch_len,
-            params.attention[scale_index - 1],
-            scale_index=scale_index,
+            x_scale, key_forecast, key_seasonal, config.variant, config.patch_len,
+            params.attention[scale_index - 1], scale_index=scale_index,
         )
-        x_scale = x_scale + swap_last2(context)
+        x_scale = x_scale + context
     trend_map = _trend_map(x_scale.shape[-1], config.decomp_kernel)
     enc_s = params.seasonal[scale_index - 1]
     enc_t = params.trend[scale_index - 1]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,27 +85,24 @@ class SynthSpec:
         return max(self.important_lags, default=0)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "important_lags": list(self.important_lags),
-            "important_features": list(self.important_features),
-            "noise_sigma": self.noise_sigma,
-            "n_features": self.n_features,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return cls(
-            name=d["name"],
-            important_lags=tuple(d["important_lags"]),
-            important_features=tuple(d["important_features"]),
-            noise_sigma=float(d["noise_sigma"]),
-            n_features=int(d["n_features"]),
-            n_samples=int(d["n_samples"]),
-            seed=int(d["seed"]),
-        )
+    def from_dict(cls, d: dict, source: str = "") -> "SynthSpec":
+        """Inverse of ``to_dict``; a missing or unreadable entry raises
+        ``ValueError`` naming ``source`` and its key."""
+        readers = {"name": str, "important_lags": lambda v: tuple(map(int, v)),
+                   "important_features": lambda v: tuple(map(int, v)), "noise_sigma": float,
+                   "n_features": int, "n_samples": int, "seed": int}
+        kwargs = {}
+        for key, read in readers.items():
+            if key not in d:
+                raise ValueError(f"{source}missing key {key!r}")
+            try:
+                kwargs[key] = read(d[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"{source}key {key!r}: cannot read {d[key]!r}") from None
+        return cls(**kwargs)
 
 
 @dataclass

@@ -710,37 +710,36 @@ def linear_interp(x, new_len: int) -> Tensor:
 
 
 def patchify(x, patch_len: int) -> Tensor:
-    """Split (B, T, D) into (B, N, P, D) patches of P time steps.
+    """Split channels-first (B, D, T) into (B, N, P, D) patches of P time steps.
 
     N = ceil(T/P); when P does not divide T the sequence is right-padded
     by replicating the final time step.
     """
     x = _as_tensor(x)
     if x.ndim != 3:
-        raise ShapeError(f"patchify expects (B, T, D), got {x.shape}")
+        raise ShapeError(f"patchify expects (B, D, T), got {x.shape}")
     if patch_len < 1:
         raise ShapeError(f"patchify: patch_len must be >= 1, got {patch_len}")
-    b, t, d = x.shape
+    b, d, t = x.shape
     p = int(patch_len)
     n = -(-t // p)
     pad = n * p - t
+    padded = x.data
     if pad:
-        padded = np.concatenate([x.data, np.repeat(x.data[:, -1:, :], pad, axis=1)], axis=1)
-    else:
-        padded = x.data
+        padded = np.concatenate([padded, np.repeat(padded[:, :, -1:], pad, axis=2)], axis=2)
 
     def rule(g: np.ndarray):
         flat = g.reshape(b, n * p, d)
-        gx = flat[:, :t, :].copy()
+        gx = np.swapaxes(flat[:, :t, :], 1, 2).copy()
         if pad:
-            gx[:, -1, :] += flat[:, t:, :].sum(axis=1)
+            gx[:, :, -1] += flat[:, t:, :].sum(axis=1)
         return (gx,)
 
-    return _op(padded.reshape(b, n, p, d), (x,), "patchify", rule)
+    return _op(np.swapaxes(padded, 1, 2).reshape(b, n, p, d), (x,), "patchify", rule)
 
 
 def unpatchify(x, seq_len: int) -> Tensor:
-    """Invert ``patchify``: (B, N, P, D) back to (B, seq_len, D), dropping padding."""
+    """Invert ``patchify``: (B, N, P, D) back to (B, D, seq_len), dropping padding."""
     x = _as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"unpatchify expects (B, N, P, D), got {x.shape}")
@@ -750,10 +749,10 @@ def unpatchify(x, seq_len: int) -> Tensor:
 
     def rule(g: np.ndarray):
         gx = np.zeros((b, n * p, d))
-        gx[:, :seq_len, :] = g
+        gx[:, :seq_len, :] = np.swapaxes(g, 1, 2)
         return (gx.reshape(b, n, p, d),)
 
-    return _op(x.data.reshape(b, n * p, d)[:, :seq_len, :], (x,), "unpatchify", rule)
+    return _op(np.swapaxes(x.data.reshape(b, n * p, d)[:, :seq_len, :], 1, 2), (x,), "unpatchify", rule)
 
 
 # ---------------------------------------------------------------------------

@@ -161,18 +161,13 @@ def train(
                     prediction, _ = model.forward(Tensor(x_train[batch]))
                     loss = mse_loss(prediction, y_train[batch], target_cols)
                     tape.backward(loss)
-                loss_value = loss.item()
             except NonFiniteError as exc:
                 raise TrainingDiverged(
                     f"numeric blowup at epoch {epoch}, batch {lo // config.batch_size} "
                     f"(lr={config.learning_rate}, batch_size={config.batch_size}): {exc}"
                 ) from exc
-            if not np.isfinite(loss_value):
-                raise TrainingDiverged(
-                    f"non-finite train loss at epoch {epoch}, batch {lo // config.batch_size} "
-                    f"(lr={config.learning_rate}, batch_size={config.batch_size})"
-                )
-            batch_losses.append(loss_value)
+            # every op checks its output, so a loss that got here is finite
+            batch_losses.append(loss.item())
             adam_step(params, [p.grad for p in params], state, config)
 
         train_mse = float(np.mean(batch_losses))

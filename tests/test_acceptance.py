@@ -34,7 +34,7 @@ from crossscalenet.tensor import (
 )
 from crossscalenet.train import TrainConfig, evaluate, train
 
-from test_attention import make_weights, ref_cross_patch, weights_as_dict
+from test_attention import attend, channels_first, make_weights, ref_cross_patch, weights_as_dict
 from test_model import set_named_param
 
 ACCEPT_SEEDS = (42, 43, 44)
@@ -94,7 +94,7 @@ def test_criterion_1_autodiff(capfd):
         return Tensor(rng.uniform(-1, 1, shape))
 
     w23, w43, w25, w29 = const(2, 3), const(4, 3), const(2, 5), const(2, 9)
-    w1322, w152 = const(1, 3, 2, 2), const(1, 5, 2)
+    w1322, w125 = const(1, 3, 2, 2), const(1, 2, 5)
     w33, v3, c23, v6 = const(3, 3), const(3), const(2, 3), const(6)
     w432, w43b = const(4, 3, 2), const(4, 3)
     w22 = Tensor(w23.data[:, :2].copy())
@@ -115,8 +115,8 @@ def test_criterion_1_autodiff(capfd):
         ("avg_downsample", lambda x: sum_all(mul(avg_downsample(x, 2), w23)), (2, 5)),
         ("moving_average", lambda x: sum_all(mul(moving_average(x, 3), w25)), (2, 5)),
         ("linear_interp", lambda x: sum_all(mul(linear_interp(x, 9), w29)), (2, 5)),
-        ("patchify", lambda x: sum_all(mul(patchify(x, 2), w1322)), (1, 5, 2)),
-        ("unpatchify", lambda x: sum_all(mul(unpatchify(x, 5), w152)), (1, 3, 2, 2)),
+        ("patchify", lambda x: sum_all(mul(patchify(x, 2), w1322)), (1, 2, 5)),
+        ("unpatchify", lambda x: sum_all(mul(unpatchify(x, 5), w125)), (1, 3, 2, 2)),
         ("swap_last2", lambda x: sum_all(mul(swap_last2(x), w43)), (3, 4)),
         ("reshape", lambda x: sum_all(mul(reshape(x, (6,)), v6)), (2, 3)),
         ("broadcast_to", lambda x: sum_all(mul(broadcast_to(x, (4, 3, 2)), w432)), (3, 1)),
@@ -167,8 +167,6 @@ def test_criterion_1_autodiff(capfd):
 
 
 def test_criterion_2_attention_oracle(capfd):
-    from crossscalenet.attention import cross_patch_attention
-
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 4, 1))
     k1 = rng.normal(size=(1, 4, 1))
@@ -176,9 +174,9 @@ def test_criterion_2_attention_oracle(capfd):
     worst = 0.0
     for variant in ("cross_dual_key", "cross_shared_key", "patch_attention", "self_attention"):
         w = make_weights(1, rng)
-        ctx, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), variant, 2, w)
+        ctx, record = attend(x, k1, k2, variant, 2, w)
         ref_ctx, ref_ap, ref_al = ref_cross_patch(x, k1, k2, 2, weights_as_dict(w), variant)
-        dev = np.max(np.abs(ctx.data - ref_ctx))
+        dev = np.max(np.abs(ctx - ref_ctx))
         dev = max(dev, np.max(np.abs(record.patch_weights - ref_ap)))
         if ref_al is not None:
             dev = max(dev, np.max(np.abs(record.local_weights - ref_al)))
@@ -205,8 +203,8 @@ def test_criterion_3_decomposition(capfd):
         if kernel % 2 == 0:
             kernel -= 1
         x = rng.normal(size=(1, t, d)) * rng.uniform(0.1, 100.0)
-        seasonal, trend = decompose(Tensor(x), kernel)
-        worst = max(worst, float(np.max(np.abs(seasonal.data + trend.data - x))))
+        seasonal, trend = decompose(channels_first(x), kernel)
+        worst = max(worst, float(np.max(np.abs(np.swapaxes(seasonal.data + trend.data, 1, 2) - x))))
     scale_note = "abs, inputs up to ~100x unit scale"
     assert worst < 1e-12 * 100, f"worst reconstruction error {worst:.2e}"
     with capfd.disabled():
@@ -218,8 +216,6 @@ def test_criterion_3_decomposition(capfd):
 
 
 def test_criterion_4_attention_normalization(capfd):
-    from crossscalenet.attention import cross_patch_attention
-
     rng = np.random.default_rng(4)
     checked = 0
     for variant in ("self_attention", "patch_attention", "cross_shared_key", "cross_dual_key"):
@@ -229,7 +225,7 @@ def test_criterion_4_attention_normalization(capfd):
             x = rng.normal(size=(2, t, 3)) * rng.uniform(0.2, 5.0)
             k1 = rng.normal(size=(2, t, 3))
             k2 = rng.normal(size=(2, t, 3))
-            _, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), variant, 3, w)
+            _, record = attend(x, k1, k2, variant, 3, w)
             record.validate(tol=1e-6)
             checked += 1
     with capfd.disabled():

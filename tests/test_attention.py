@@ -27,6 +27,19 @@ def make_weights(dim, rng, with_local=True):
     return AttentionWeights(w(), w(), w())
 
 
+def channels_first(x: np.ndarray) -> Tensor:
+    """(B, T, D) array -> (B, D, T) tensor, the layout attention takes."""
+    return Tensor(np.swapaxes(x, 1, 2))
+
+
+def attend(x, key_forecast, key_seasonal, variant, p, w):
+    """``cross_patch_attention`` on (B, T, D) arrays, a key possibly None:
+    returns the (B, T, D) context array and the record."""
+    keys = (None if k is None else channels_first(k) for k in (key_forecast, key_seasonal))
+    ctx, record = cross_patch_attention(channels_first(x), *keys, variant, p, w)
+    return np.swapaxes(ctx.data, 1, 2), record
+
+
 def identity_weights(dim):
     eye = np.eye(dim)
     return AttentionWeights(*(Tensor(eye.copy()) for _ in range(6)))
@@ -125,10 +138,10 @@ def test_matches_brute_force_oracle(variant):
     k2 = rng.normal(size=(b, t, d))
     w = make_weights(d, rng)
 
-    ctx, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), variant, p, w)
+    ctx, record = attend(x, k1, k2, variant, p, w)
     ref_ctx, ref_ap, ref_al = ref_cross_patch(x, k1, k2, p, weights_as_dict(w), variant)
 
-    assert np.allclose(ctx.data, ref_ctx, atol=1e-10)
+    assert np.allclose(ctx, ref_ctx, atol=1e-10)
     assert np.allclose(record.patch_weights, ref_ap, atol=1e-10)
     if ref_al is not None:
         assert np.allclose(record.local_weights, ref_al, atol=1e-10)
@@ -140,9 +153,9 @@ def test_small_instance_oracle_tight():
     k1 = np.array([[[1.0], [0.0], [-0.5], [1.5]]])
     k2 = np.array([[[0.2], [0.9], [-0.1], [0.4]]])
     w = identity_weights(1)
-    ctx, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), "cross_dual_key", 2, w)
+    ctx, record = attend(x, k1, k2, "cross_dual_key", 2, w)
     ref_ctx, ref_ap, ref_al = ref_cross_patch(x, k1, k2, 2, weights_as_dict(w), "cross_dual_key")
-    assert np.allclose(ctx.data, ref_ctx, atol=1e-10)
+    assert np.allclose(ctx, ref_ctx, atol=1e-10)
     assert np.allclose(record.patch_weights, ref_ap, atol=1e-10)
     assert np.allclose(record.local_weights, ref_al, atol=1e-10)
 
@@ -153,7 +166,7 @@ def test_hand_computed_two_patch_attention():
     x = np.array([[[1.0], [3.0], [-1.0], [1.0]]])  # pooled: [2, 0]
     k = np.array([[[2.0], [2.0], [4.0], [0.0]]])  # pooled: [2, 2]
     w = identity_weights(1)
-    _, attn = patch_attention(patchify(Tensor(x), 2), patchify(Tensor(k), 2), w)
+    _, attn = patch_attention(patchify(channels_first(x), 2), patchify(channels_first(k), 2), w)
     logits = np.array([[4.0, 4.0], [0.0, 0.0]])  # pooled_q[:,None]*pooled_k[None,:]/sqrt(1)
     expect = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     assert np.allclose(attn[0], expect, atol=1e-12)
@@ -167,7 +180,8 @@ def test_single_patch_attention_is_one():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 3, 2))
     w = make_weights(2, rng)
-    _, attn = patch_attention(patchify(Tensor(x), 3), patchify(Tensor(rng.normal(size=(2, 3, 2))), 3), w)
+    key = rng.normal(size=(2, 3, 2))
+    _, attn = patch_attention(patchify(channels_first(x), 3), patchify(channels_first(key), 3), w)
     assert attn.shape == (2, 1, 1)
     assert np.allclose(attn, 1.0)
 
@@ -176,7 +190,8 @@ def test_constant_key_gives_uniform_patch_rows():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(1, 8, 2))
     const_key = np.ones((1, 8, 2)) * 0.7
-    _, attn = patch_attention(patchify(Tensor(x), 2), patchify(Tensor(const_key), 2), identity_weights(2))
+    patches, key_patches = (patchify(channels_first(a), 2) for a in (x, const_key))
+    _, attn = patch_attention(patches, key_patches, identity_weights(2))
     assert np.allclose(attn, 0.25, atol=1e-12)
 
 
@@ -184,7 +199,7 @@ def test_local_attention_single_position():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(1, 4, 2))
     w = make_weights(2, rng)
-    patches = patchify(Tensor(x), 1)
+    patches = patchify(channels_first(x), 1)
     ctx, attn = local_attention(patches, patches, w)
     assert np.allclose(attn, 1.0)
     # P=1: context equals the projected values
@@ -196,7 +211,8 @@ def test_constant_key_patch_gives_uniform_local_rows():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(1, 6, 2))
     const_key = np.full((1, 6, 2), -1.3)
-    _, attn = local_attention(patchify(Tensor(x), 3), patchify(Tensor(const_key), 3), identity_weights(2))
+    patches, key_patches = (patchify(channels_first(a), 3) for a in (x, const_key))
+    _, attn = local_attention(patches, key_patches, identity_weights(2))
     assert np.allclose(attn, 1.0 / 3.0, atol=1e-12)
 
 
@@ -205,9 +221,9 @@ def test_dual_key_with_equal_keys_collapses_to_shared():
     x = rng.normal(size=(2, 8, 3))
     k = rng.normal(size=(2, 8, 3))
     w = make_weights(3, rng)
-    ctx_d, rec_d = cross_patch_attention(Tensor(x), Tensor(k), Tensor(k), "cross_dual_key", 2, w)
-    ctx_s, rec_s = cross_patch_attention(Tensor(x), Tensor(k), None, "cross_shared_key", 2, w)
-    assert np.array_equal(ctx_d.data, ctx_s.data)
+    ctx_d, rec_d = attend(x, k, k, "cross_dual_key", 2, w)
+    ctx_s, rec_s = attend(x, k, None, "cross_shared_key", 2, w)
+    assert np.array_equal(ctx_d, ctx_s)
     assert np.array_equal(rec_d.patch_weights, rec_s.patch_weights)
     assert np.array_equal(rec_d.local_weights, rec_s.local_weights)
 
@@ -218,8 +234,8 @@ def test_dual_vs_shared_key_differs_only_on_local_path():
     k1 = rng.normal(size=(1, 8, 2))
     k2 = rng.normal(size=(1, 8, 2))
     w = make_weights(2, rng)
-    _, rec_d = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), "cross_dual_key", 2, w)
-    _, rec_s = cross_patch_attention(Tensor(x), Tensor(k1), None, "cross_shared_key", 2, w)
+    _, rec_d = attend(x, k1, k2, "cross_dual_key", 2, w)
+    _, rec_s = attend(x, k1, None, "cross_shared_key", 2, w)
     assert np.allclose(rec_d.patch_weights, rec_s.patch_weights, atol=1e-12)
     assert not np.allclose(rec_d.local_weights, rec_s.local_weights, atol=1e-6)
 
@@ -228,7 +244,7 @@ def test_patch_variant_with_full_length_patch():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(1, 4, 2))
     w = make_weights(2, rng)
-    _, record = cross_patch_attention(Tensor(x), None, None, "patch_attention", 4, w)
+    _, record = attend(x, None, None, "patch_attention", 4, w)
     assert record.patch_weights.shape == (1, 1, 1)
     assert np.allclose(record.patch_weights, 1.0)
 
@@ -245,7 +261,7 @@ def test_rows_normalized_all_variants(variant):
         x = rng.normal(size=(2, 9, 4)) * rng.uniform(0.1, 3.0)
         k1 = rng.normal(size=(2, 9, 4))
         k2 = rng.normal(size=(2, 9, 4))
-        _, record = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), variant, 3, w)
+        _, record = attend(x, k1, k2, variant, 3, w)
         record.validate(tol=1e-6)
 
 
@@ -255,8 +271,8 @@ def test_positive_key_scaling_keeps_rows_normalized():
     k1 = rng.normal(size=(1, 8, 2))
     k2 = rng.normal(size=(1, 8, 2))
     w = make_weights(2, rng)
-    _, base = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), "cross_dual_key", 2, w)
-    _, scaled = cross_patch_attention(Tensor(x), Tensor(3.5 * k1), Tensor(k2), "cross_dual_key", 2, w)
+    _, base = attend(x, k1, k2, "cross_dual_key", 2, w)
+    _, scaled = attend(x, 3.5 * k1, k2, "cross_dual_key", 2, w)
     scaled.validate(tol=1e-6)
     assert not np.allclose(base.patch_weights, scaled.patch_weights, atol=1e-6)
 
@@ -268,33 +284,33 @@ def test_batch_permutation_equivariance():
     k2 = rng.normal(size=(4, 6, 3))
     w = make_weights(3, rng)
     perm = np.array([2, 0, 3, 1])
-    ctx, _ = cross_patch_attention(Tensor(x), Tensor(k1), Tensor(k2), "cross_dual_key", 2, w)
-    ctx_p, _ = cross_patch_attention(Tensor(x[perm]), Tensor(k1[perm]), Tensor(k2[perm]), "cross_dual_key", 2, w)
-    assert np.allclose(ctx.data[perm], ctx_p.data, atol=1e-12)
+    ctx, _ = attend(x, k1, k2, "cross_dual_key", 2, w)
+    ctx_p, _ = attend(x[perm], k1[perm], k2[perm], "cross_dual_key", 2, w)
+    assert np.allclose(ctx[perm], ctx_p, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_gradients_through_attention(variant):
     rng = np.random.default_rng(16)
     b, t, p, d = 1, 4, 2, 2
-    k1 = Tensor(rng.normal(size=(b, t, d)))
-    k2 = Tensor(rng.normal(size=(b, t, d)))
+    k1 = channels_first(rng.normal(size=(b, t, d)))
+    k2 = channels_first(rng.normal(size=(b, t, d)))
     w = make_weights(d, rng)
 
     def f(x):
         ctx, _ = cross_patch_attention(x, k1, k2, variant, p, w)
         return sum_all(ctx * ctx)
 
-    report = grad_check(f, rng.normal(size=(b, t, d)), tol=1e-4)
+    report = grad_check(f, np.swapaxes(rng.normal(size=(b, t, d)), 1, 2), tol=1e-4)
     assert report.passed, str(report)
 
 
 def test_gradients_reach_projection_weights():
     rng = np.random.default_rng(17)
     b, t, p, d = 1, 4, 2, 2
-    x = Tensor(rng.normal(size=(b, t, d)))
-    k1 = Tensor(rng.normal(size=(b, t, d)))
-    k2 = Tensor(rng.normal(size=(b, t, d)))
+    x = channels_first(rng.normal(size=(b, t, d)))
+    k1 = channels_first(rng.normal(size=(b, t, d)))
+    k2 = channels_first(rng.normal(size=(b, t, d)))
 
     base = make_weights(d, rng)
 
@@ -322,9 +338,9 @@ def test_records_are_read_only_and_reading_them_keeps_gradients(variant):
         w = make_weights(3, np.random.default_rng(20))
         for _, t in w.named():
             t.requires_grad = True
-        xt = Tensor(x, requires_grad=True)
+        xt = Tensor(np.swapaxes(x, 1, 2), requires_grad=True)
         with Tape() as tape:
-            ctx, record = cross_patch_attention(xt, Tensor(k1), Tensor(k2), variant, 2, w)
+            ctx, record = cross_patch_attention(xt, channels_first(k1), channels_first(k2), variant, 2, w)
             if read_records:
                 record.validate()
                 for arr in (record.patch_weights, record.local_weights):
@@ -345,7 +361,7 @@ def test_records_are_read_only_and_reading_them_keeps_gradients(variant):
 
 def test_argument_validation():
     rng = np.random.default_rng(21)
-    x = Tensor(rng.normal(size=(1, 8, 2)))
+    x = channels_first(rng.normal(size=(1, 8, 2)))
     w = make_weights(2, rng)
     with pytest.raises(ValueError, match="unknown variant 'fancy_attention'"):
         cross_patch_attention(x, x, x, "fancy_attention", 2, w)
@@ -353,7 +369,7 @@ def test_argument_validation():
         cross_patch_attention(x, x, x, "cross_dual_key", 0, w)
     # the input's width is the model dimension: weights of another width
     # fail in the projection
-    wide = Tensor(rng.normal(size=(1, 8, 3)))
+    wide = channels_first(rng.normal(size=(1, 8, 3)))
     for variant in VARIANTS:
         with pytest.raises(ShapeError):
             cross_patch_attention(wide, wide, wide, variant, 2, w)
@@ -361,8 +377,8 @@ def test_argument_validation():
 
 def test_shape_mismatch_errors():
     rng = np.random.default_rng(18)
-    x = Tensor(rng.normal(size=(1, 8, 2)))
-    short = Tensor(rng.normal(size=(1, 6, 2)))
+    x = channels_first(rng.normal(size=(1, 8, 2)))
+    short = channels_first(rng.normal(size=(1, 6, 2)))
     w = make_weights(2, rng)
     with pytest.raises(ShapeError):
         cross_patch_attention(x, short, short, "cross_dual_key", 2, w)

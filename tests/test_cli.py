@@ -360,3 +360,70 @@ def test_corrupt_checkpoint_archive_exits_2(gen_dir, train_dir, tmp_path, capsys
                    "--out", tmp_path / "x") == 2
         line = one_error_line(capsys)
         assert ckpt.name in line and kind in line
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "no header row"),
+    ("a,b\n", "no data rows after the header"),
+], ids=["empty", "header_only"])
+def test_csv_without_rows_fails_at_the_boundary(tmp_path, capsys, text, message):
+    # an empty file raised StopIteration; a header-only one printed numpy's
+    # warning and then blamed a column-count mismatch
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--data", bad, *FAST_TRAIN, "--out", tmp_path / "x") == 2
+    line = one_error_line(capsys)
+    assert "bad.csv" in line and message in line
+
+
+def test_non_numeric_cell_fails_at_the_csv_boundary(gen_dir, tmp_path, capsys):
+    # named as a NaN cell is: file, 1-based data row, column name
+    rows = (gen_dir / "SYN1.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    cells = rows[5].split(",")
+    cells[2] = "x"
+    rows[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    assert run("train", "--data", bad, *FAST_TRAIN, "--out", tmp_path / "x") == 2
+    line = one_error_line(capsys)
+    assert "bad.csv: non-numeric value 'x' in data row 5" in line and repr(header[2]) in line
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+def test_a_directory_where_a_file_belongs_exits_2(gen_dir, train_dir, tmp_path, capsys, command):
+    # each ended in an IsADirectoryError traceback
+    argv = {"train": ["--data", tmp_path],
+            "explain": ["--checkpoint", tmp_path, "--data", gen_dir / "SYN1.csv"]}[command]
+    assert run(command, *argv, "--out", tmp_path / "x") == 2
+    assert str(tmp_path) in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--config", [1, 2], "expected a JSON object, got list"),
+    ("--config", {"lookback": "abc"}, "key 'lookback': expected int, got \"abc\""),
+    ("--spec", [1, 2], "expected a JSON object, got list"),
+    ("--spec", {"name": "c", "important_features": [0], "noise_sigma": 0.0, "n_features": 3,
+                "n_samples": 150}, "missing key 'important_lags'"),
+], ids=["config_list", "config_type", "spec_list", "spec_missing_key"])
+def test_malformed_json_file_exits_2_naming_file_and_key(tmp_path, capsys, flag, content, message):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(content))
+    assert run("gen", flag, path, "--samples", "200", "--out", tmp_path / "x") == 2
+    assert f"file.json: {message}" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_values_are_read_as_their_flags_read_them(gen_dir, tmp_path):
+    # an index target and a null seed keep working; a number is a string
+    # flag's text, as on the command line
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"target": 3, "seed": None, "lr": "0.01", "no_instance_norm": True}))
+    out = tmp_path / "out"
+    assert run("train", "--data", gen_dir / "SYN1.csv", *FAST_TRAIN, "--config", config, "--out", out) == 0
+    snapshot = json.loads((out / "resolved_config.json").read_text())
+    read = (snapshot["target"], snapshot["seed"], snapshot["lr"], snapshot["no_instance_norm"])
+    assert read == ("3", 42, 0.01, True)
+    assert CrossScaleNet.load(out / "model.ckpt")[1]["target_columns"] == [3]

@@ -1,5 +1,6 @@
 """Window construction, split hygiene, and normalization provenance."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -162,6 +163,18 @@ def test_read_csv_rejects_non_finite_cells(tmp_path, cell):
     path = tmp_path / "series.csv"
     path.write_text(f"a,b,c\n1,2,3\n4,5,6\n7,{cell},9\n")
     with pytest.raises(ValueError, match=r"series\.csv: non-finite value .* in data row 3, column 'b'"):
+        read_csv_matrix(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,2,3\n4,x,6\n", "non-numeric value 'x' in data row 2, column 'b'"),
+    ("1,2,3\n\n4,5,6,7\n", "data row 2 has 4 cells, header has 3 columns"),
+], ids=["non_numeric", "ragged"])
+def test_read_csv_names_the_row_numpy_cannot_read(tmp_path, rows, message):
+    # counted as data rows, blank lines skipped, as for a non-finite cell
+    path = tmp_path / "series.csv"
+    path.write_text("a,b,c\n" + rows)
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: {message}')}$"):
         read_csv_matrix(path)
 
 

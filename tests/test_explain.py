@@ -270,6 +270,32 @@ def test_rank_auc_tie_convention():
     assert auc == pytest.approx((2.0 + 0.5) / 3.0)
 
 
+def loop_average_ranks(values):
+    """Ranks 1..n, ties sharing their average rank, by a walk over the sorted values."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_rank_auc_equals_the_tie_loop_bit_for_bit():
+    # rounding makes ties common; the vectorized ranks must not move a bit
+    rng = np.random.default_rng(54)
+    for n in (2, 3, 7, 96, 336):
+        for digits in (0, 1, 3):
+            values = np.round(rng.normal(size=n), digits)
+            positives = np.arange(n) % 3 == 0
+            k = int(positives.sum())
+            u = loop_average_ranks(values)[positives].sum() - k * (k + 1) / 2.0
+            assert rank_auc(values, positives) == float(u / (k * (n - k)))
+
+
 def test_agreement_rejects_all_zero_truth_and_length_mismatch():
     with pytest.raises(ValueError):
         saliency_agreement(SaliencyVector(np.ones(4)), SaliencyTruth(np.zeros((4, 2))))
@@ -537,7 +563,8 @@ def test_ig_attribution_map_rejects_fewer_than_one_window(trained_setup):
     ({"ratios": (0.1, 1.5)}, r"ratio must be in \(0, 1\], got 1.5"),
     ({"ig_steps": 0}, "steps must be >= 1, got 0"),
     ({"ig_windows": 0}, "n_windows must be >= 1, got 0"),
-], ids=["ratio", "ig_steps", "ig_windows"])
+    ({"truth": ground_truth_mask(builtin_spec("SYN1"), 96)}, "truth mask lookback 96 != dataset lookback"),
+], ids=["ratio", "ig_steps", "ig_windows", "truth"])
 def test_build_report_checks_its_arguments_before_any_forward(monkeypatch, trained_setup, kwargs, message):
     # a bad last ratio used to surface only after saliency, IG and ablation had run
     model, ds = trained_setup

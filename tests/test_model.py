@@ -32,7 +32,7 @@ from crossscalenet.tensor import (
     suspend_tape,
 )
 
-from test_attention import ref_cross_patch, weights_as_dict
+from test_attention import channels_first, ref_cross_patch, weights_as_dict
 
 RNG = np.random.default_rng(23)
 
@@ -46,11 +46,6 @@ def small_config(**overrides):
     return ModelConfig(**kw)
 
 
-def channels_first(x: np.ndarray) -> Tensor:
-    """(B, T, D) array -> (B, D, T) tensor, the model's internal layout."""
-    return Tensor(np.swapaxes(x, 1, 2))
-
-
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -58,14 +53,14 @@ def channels_first(x: np.ndarray) -> Tensor:
 def test_decompose_reconstructs_exactly():
     for _ in range(200):
         x = RNG.normal(size=(2, 20, 3)) * RNG.uniform(0.1, 10.0)
-        seasonal, trend = decompose(Tensor(x), 5)
-        assert np.max(np.abs(seasonal.data + trend.data - x)) < 1e-12
+        seasonal, trend = decompose(channels_first(x), 5)
+        assert np.max(np.abs(np.swapaxes(seasonal.data + trend.data, 1, 2) - x)) < 1e-12
 
 
 def test_decompose_constant_series():
     x = np.full((1, 12, 2), 3.25)
-    seasonal, trend = decompose(Tensor(x), 7)
-    assert np.allclose(trend.data, x, atol=1e-12)
+    seasonal, trend = decompose(channels_first(x), 7)
+    assert np.allclose(np.swapaxes(trend.data, 1, 2), x, atol=1e-12)
     assert np.allclose(seasonal.data, 0.0, atol=1e-12)
 
 
@@ -74,14 +69,14 @@ def test_decompose_fast_sine_has_tiny_interior_trend():
     # interior points (replicate-padded edges keep a boundary bias).
     t = np.arange(120)
     x = np.sin(2 * np.pi * t / 8.0)[None, :, None]
-    _, trend = decompose(Tensor(x), 25)
+    _, trend = decompose(channels_first(x), 25)
     half = 12
-    assert np.max(np.abs(trend.data[:, half:-half, :])) < 0.1
+    assert np.max(np.abs(trend.data[:, :, half:-half])) < 0.1
 
 
 def test_decompose_even_kernel_errors():
     with pytest.raises(ShapeError):
-        decompose(Tensor(RNG.normal(size=(1, 10, 1))), 4)
+        decompose(channels_first(RNG.normal(size=(1, 10, 1))), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +126,14 @@ def test_scale_forward_zero_valued_attention_is_identity_path():
     att.w_value.data[:] = 0.0
     att.w_local_value.data[:] = 0.0
 
-    x = Tensor(RNG.normal(size=(2, 8, 2)))
+    x = channels_first(RNG.normal(size=(2, 8, 2)))
     keys = channels_first(RNG.normal(size=(2, 8, 2)))
-    y_att, _, record = scale_forward(channels_first(x.data), keys, keys, cfg, params, 2)
+    y_att, _, record = scale_forward(x, keys, keys, cfg, params, 2)
     assert record is not None
 
     # reference: the plain no-attention pathway through the same encoders
     seasonal, trend = decompose(x, cfg.decomp_kernel)
-    y_ref = (encoder_forward(channels_first(seasonal.data), params.seasonal[1])
-             + encoder_forward(channels_first(trend.data), params.trend[1]))
+    y_ref = encoder_forward(seasonal, params.seasonal[1]) + encoder_forward(trend, params.trend[1])
     assert np.allclose(y_att.data, y_ref.data, atol=1e-12)
 
 
@@ -154,9 +148,9 @@ def test_folded_decomposition_matches_explicit_decompose(seq_len, kernel):
     x = RNG.normal(size=(2, seq_len, 3)) * 3.0
     y, y_seasonal, _ = scale_forward(channels_first(x), None, None, cfg, params, 1)
 
-    seasonal, trend = decompose(Tensor(x), kernel)
-    ys_ref = encoder_forward(channels_first(seasonal.data), params.seasonal[0]).data
-    yt_ref = encoder_forward(channels_first(trend.data), params.trend[0]).data
+    seasonal, trend = decompose(channels_first(x), kernel)
+    ys_ref = encoder_forward(seasonal, params.seasonal[0]).data
+    yt_ref = encoder_forward(trend, params.trend[0]).data
     assert np.max(np.abs(y_seasonal.data - ys_ref)) < 1e-12
     assert np.max(np.abs((y.data - y_seasonal.data) - yt_ref)) < 1e-12
     assert np.max(np.abs(y.data - (ys_ref + yt_ref))) < 1e-12
@@ -477,24 +471,25 @@ def test_model_gradients_pass_grad_check():
 
 
 # per variant: (linear_interp, swap_last2, patchify, forward tape ops)
-# limits. Only the key streams a variant reads are resampled and
-# transposed (forecast and seasonal: 2 each over scales 2 and 3);
-# self-attention patchifies only its input, into one-step patches. Each
-# attention path is one fused softmax_attention op over scales 2 and 3,
-# and each of the six encoders one encoder_mlp op.
+# limits. Only the key streams a variant reads are resampled (forecast
+# and seasonal: 2 each over scales 2 and 3); the only transposes are the
+# forward's entry and exit, since attention takes the channels-first
+# layout. Self-attention patchifies only its input, into one-step
+# patches. Each attention path is one fused softmax_attention op over
+# scales 2 and 3, and each of the six encoders one encoder_mlp op.
 OP_LIMITS = {
-    "self_attention": (0, 12, 2, 60),
-    "patch_attention": (0, 12, 2, 80),
-    "cross_shared_key": (2, 14, 4, 88),
-    "cross_dual_key": (4, 16, 6, 94),
+    "self_attention": (0, 2, 2, 60),
+    "patch_attention": (0, 2, 2, 76),
+    "cross_shared_key": (2, 2, 4, 82),
+    "cross_dual_key": (4, 2, 6, 86),
 }
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_forward_op_counts_at_acceptance_config(monkeypatch, variant):
     # one forward at lookback 96, 7 channels, 3 scales, patch 16: the fold
-    # removes the moving averages, the channels-first layout most
-    # transposes, and one patchify per attention stream the rest
+    # removes the moving averages, the one channels-first layout all
+    # transposes but two, and one patchify per attention stream the rest
     n_interp, n_swap, n_patchify, n_ops = OP_LIMITS[variant]
     limits = {"moving_average": 0, "broadcast_to": 0, "softmax_lastdim": 0, "linear_interp": n_interp,
               "patchify": n_patchify, "swap_last2": n_swap}

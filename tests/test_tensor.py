@@ -316,14 +316,19 @@ def test_linear_interp_rules():
         linear_interp(Tensor(x), 0)
 
 
+def channels_first(x: np.ndarray) -> np.ndarray:
+    """(B, T, D) -> (B, D, T), the layout patchify takes and unpatchify returns."""
+    return np.swapaxes(x, 1, 2)
+
+
 def test_patchify_exact_and_padded():
     x = np.arange(8.0).reshape(1, 4, 2)
-    p = patchify(Tensor(x), 2)
+    p = patchify(Tensor(channels_first(x)), 2)
     assert p.shape == (1, 2, 2, 2)
     assert np.array_equal(p.data.reshape(1, 4, 2), x)
 
     x5 = np.arange(10.0).reshape(1, 5, 2)
-    p5 = patchify(Tensor(x5), 2)
+    p5 = patchify(Tensor(channels_first(x5)), 2)
     assert p5.shape == (1, 3, 2, 2)
     assert np.array_equal(p5.data[0, 2, 0], x5[0, 4])
     assert np.array_equal(p5.data[0, 2, 1], x5[0, 4])  # replicated final step
@@ -332,11 +337,66 @@ def test_patchify_exact_and_padded():
 def test_patchify_roundtrip():
     x = rand(3, 12, 4)
     for p in (1, 2, 3, 4, 6, 12):
-        assert np.array_equal(unpatchify(patchify(Tensor(x), p), 12).data, x)
+        assert np.array_equal(channels_first(unpatchify(patchify(Tensor(channels_first(x)), p), 12).data), x)
     # non-divisible round trip drops the padding
-    assert np.array_equal(unpatchify(patchify(Tensor(x), 5), 12).data, x)
+    assert np.array_equal(channels_first(unpatchify(patchify(Tensor(channels_first(x)), 5), 12).data), x)
     with pytest.raises(ShapeError):
-        patchify(Tensor(x), 0)
+        patchify(Tensor(channels_first(x)), 0)
+
+
+def _patchify_time_major(x, patch_len: int) -> Tensor:
+    """The (B, T, D) patchify that the channels-first one replaced, as an oracle."""
+    b, t, d = x.shape
+    n = -(-t // patch_len)
+    pad = n * patch_len - t
+    padded = np.concatenate([x.data, np.repeat(x.data[:, -1:, :], pad, axis=1)], axis=1) if pad else x.data
+
+    def rule(g):
+        flat = g.reshape(b, n * patch_len, d)
+        gx = flat[:, :t, :].copy()
+        if pad:
+            gx[:, -1, :] += flat[:, t:, :].sum(axis=1)
+        return (gx,)
+
+    return tensor._op(padded.reshape(b, n, patch_len, d), (x,), "patchify", rule)
+
+
+def _unpatchify_time_major(x, seq_len: int) -> Tensor:
+    """The (B, N, P, D) -> (B, T, D) unpatchify that the channels-first one replaced."""
+    b, n, p, d = x.shape
+
+    def rule(g):
+        gx = np.zeros((b, n * p, d))
+        gx[:, :seq_len, :] = g
+        return (gx.reshape(b, n, p, d),)
+
+    return tensor._op(x.data.reshape(b, n * p, d)[:, :seq_len, :], (x,), "unpatchify", rule)
+
+
+@pytest.mark.parametrize("seq_len,patch_len", [(12, 4), (13, 4), (100, 16)], ids=["exact", "pad3", "pad12"])
+def test_channels_first_patch_ops_match_the_transposed_time_major_chain(seq_len, patch_len):
+    # patchify == swap_last2 -> time-major patchify and unpatchify ==
+    # time-major unpatchify -> swap_last2, bit for bit in values and in the
+    # gradients of a loss that weighs every output element differently
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(3, 5, seq_len))  # (B, D, T)
+    n = -(-seq_len // patch_len)
+    w_patches = rng.normal(size=(3, n, patch_len, 5))
+    w_series = rng.normal(size=(3, 5, seq_len))
+
+    def run(patch_op, unpatch_op):
+        with Tape() as tape:
+            xt = Tensor(x, requires_grad=True)
+            patches = patch_op(xt)
+            restored = unpatch_op(patches * w_patches)
+            tape.backward(sum_all(patches * w_patches) + sum_all(restored * w_series))
+        return patches.data, restored.data, xt.grad
+
+    new = run(lambda xt: patchify(xt, patch_len), lambda p: unpatchify(p, seq_len))
+    old = run(lambda xt: _patchify_time_major(swap_last2(xt), patch_len),
+              lambda p: swap_last2(_unpatchify_time_major(p, seq_len)))
+    for a, b in zip(new, old):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_take_and_concat_and_reshape():
@@ -493,7 +553,7 @@ PROTOCOL_CASES = [
     ("avg_downsample", lambda x: avg_downsample(x, 2), (2, 6)),
     ("moving_average", lambda x: moving_average(x, 3), (2, 6)),
     ("linear_interp", lambda x: linear_interp(x, 4), (2, 6)),
-    ("patchify", lambda x: patchify(x, 2), (1, 5, 2)),
+    ("patchify", lambda x: patchify(x, 2), (1, 2, 5)),
     ("unpatchify", lambda x: unpatchify(x, 5), (1, 3, 2, 2)),
 ]
 
@@ -602,8 +662,8 @@ OP_CASES = [
     ("moving_average", _weighted(lambda x: moving_average(x, 3), _const(2, 6)), (2, 6)),
     ("linear_interp_up", _weighted(lambda x: linear_interp(x, 9), _const(2, 9)), (2, 5)),
     ("linear_interp_down", _weighted(lambda x: linear_interp(x, 3), _const(2, 3)), (2, 5)),
-    ("patchify", _weighted(lambda x: patchify(x, 2), _const(1, 3, 2, 2)), (1, 5, 2)),
-    ("unpatchify", _weighted(lambda x: unpatchify(x, 5), _const(1, 5, 2)), (1, 3, 2, 2)),
+    ("patchify", _weighted(lambda x: patchify(x, 2), _const(1, 3, 2, 2)), (1, 2, 5)),
+    ("unpatchify", _weighted(lambda x: unpatchify(x, 5), _const(1, 2, 5)), (1, 3, 2, 2)),
     ("swap_last2", _weighted(swap_last2, _const(4, 3)), (3, 4)),
     ("reshape", _weighted(lambda x: reshape(x, (6,)), _const(6,)), (2, 3)),
     ("broadcast_to", _weighted(lambda x: broadcast_to(x, (4, 3, 2)), _const(4, 3, 2)), (3, 1)),
