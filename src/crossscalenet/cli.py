@@ -211,8 +211,21 @@ def cmd_train(args, explicit: set[str]) -> int:
     return 0
 
 
+def _parse_ratios(text: str) -> tuple[float, ...]:
+    """The comma-separated --ratios list; an item that is not a number
+    raises ValueError naming the flag and the item."""
+    ratios = []
+    for item in text.split(","):
+        try:
+            ratios.append(float(item))
+        except ValueError:
+            raise ValueError(f"--ratios: cannot read {item!r} as a number") from None
+    return tuple(ratios)
+
+
 def cmd_explain(args, explicit: set[str]) -> int:
     resolved = _resolve(args, explicit)
+    ratios = _parse_ratios(resolved["ratios"])
     model, extra = CrossScaleNet.load(resolved["checkpoint"])
     lookback, horizon = model.config.lookback, model.config.horizon
 
@@ -234,7 +247,6 @@ def cmd_explain(args, explicit: set[str]) -> int:
         )
 
     truth = load_mask(resolved["truth"]) if resolved.get("truth") else None
-    ratios = tuple(float(r) for r in resolved["ratios"].split(","))
     report = build_report(model, dataset, truth=truth, ratios=ratios,
                           ig_steps=resolved["ig_steps"], ig_windows=resolved["ig_windows"])
     # made only now, so a run that fails leaves no empty directory behind

@@ -7,11 +7,18 @@ sinusoid and z-scored; the target is a fixed linear combination of the
 important features' current and lagged values plus noise, also z-scored.
 Because the generating equation is known, every dataset carries an exact
 binary saliency mask over (lookback position, feature).
+
+The AR(1) recursion is sequential, so it runs as a Python loop, but over
+Python floats rather than numpy scalars: each step makes the same two
+IEEE-754 roundings (one multiply, one add), so the series is exactly the
+one an element-by-element numpy loop produces, at about a quarter of the
+cost. The CSV writer formats whole rows from one template for the same
+reason. Both convert a block of values to Python objects at a time, so
+the objects alive at once stay few.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -27,6 +34,8 @@ COEF_RANGE = (0.5, 1.0)
 DEFAULT_N_FEATURES = 6
 DEFAULT_N_SAMPLES = 10_000
 DEFAULT_SEED = 42
+# values (AR steps) or rows (CSV lines) turned into Python objects at a time
+_BLOCK = 256
 
 
 def _span(lo: int, hi: int) -> tuple[int, ...]:
@@ -146,6 +155,19 @@ def _rngs(spec: SynthSpec) -> tuple[np.random.Generator, np.random.Generator, np
     )
 
 
+def ar1_series(innovations: np.ndarray) -> np.ndarray:
+    """series[0] = innovations[0], series[i] = AR_COEF * series[i - 1] + innovations[i]."""
+    series = np.empty(len(innovations))
+    # -0.0 is the identity of float addition, so series[0] is innovations[0] exactly
+    level = -0.0
+    for lo in range(0, len(innovations), _BLOCK):
+        steps = innovations[lo : lo + _BLOCK].tolist()
+        for i, step in enumerate(steps):
+            level = steps[i] = AR_COEF * level + step
+        series[lo : lo + len(steps)] = steps
+    return series
+
+
 def generate_features(spec: SynthSpec) -> np.ndarray:
     """(n_samples, n_features) matrix of z-scored AR(1)+sinusoid features."""
     rng, _, _ = _rngs(spec)
@@ -153,11 +175,7 @@ def generate_features(spec: SynthSpec) -> np.ndarray:
     out = np.empty((n, f))
     t = np.arange(n)
     for j in range(f):
-        innovations = rng.normal(0.0, 1.0, size=n)
-        series = np.empty(n)
-        series[0] = innovations[0]
-        for i in range(1, n):
-            series[i] = AR_COEF * series[i - 1] + innovations[i]
+        series = ar1_series(rng.normal(0.0, 1.0, size=n))
         period = rng.uniform(*SINE_PERIOD_RANGE)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         series = series + SINE_AMPLITUDE * np.sin(2.0 * np.pi * t / period + phase)
@@ -191,14 +209,13 @@ def compose_target(
     if n <= start:
         raise ValueError(f"n_samples {n} <= max lag {start}: no valid rows")
     _, _, rng = _rngs(spec)
-    rows = np.arange(start, n)
-    y = np.zeros(len(rows))
+    y = np.zeros(n - start)
     for j, coef in current.items():
-        y += coef * features[rows, j]
+        y += coef * features[start:, j]
     for (j, lag), coef in lagged.items():
-        y += coef * features[rows - lag, j]
+        y += coef * features[start - lag : n - lag, j]
     if spec.noise_sigma > 0:
-        y = y + rng.normal(0.0, spec.noise_sigma, size=len(rows))
+        y = y + rng.normal(0.0, spec.noise_sigma, size=n - start)
     std = y.std()
     if std == 0.0:
         raise ValueError("degenerate target: zero variance")
@@ -244,11 +261,13 @@ def export_dataset(features: np.ndarray, target: np.ndarray, spec: SynthSpec, pa
     path = Path(path)
     if features.shape[0] != target.shape[0]:
         raise ValueError("features and target row counts differ")
+    # csv.writer's excel dialect: no field here needs quoting, lines end in \r\n
+    line = ",".join(["%.17g"] * (features.shape[1] + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(feature_names(spec) + ["target"])
-        for row, target_value in zip(features, target):
-            writer.writerow([f"{v:.17g}" for v in row] + [f"{target_value:.17g}"])
+        fh.write(",".join(feature_names(spec) + ["target"]) + "\r\n")
+        for lo in range(0, len(target), _BLOCK):
+            rows = zip(features[lo : lo + _BLOCK].tolist(), target[lo : lo + _BLOCK].tolist())
+            fh.writelines(line % (*row, value) for row, value in rows)
     sidecar = path.with_suffix(".json")
     sidecar.write_text(json.dumps(spec.to_dict(), indent=1, sort_keys=True))
     return path
@@ -261,5 +280,22 @@ def export_mask(truth: SaliencyTruth, path) -> Path:
 
 
 def load_mask(path) -> SaliencyTruth:
-    mask = np.loadtxt(path, delimiter=",", dtype=np.int8, ndmin=2)
-    return SaliencyTruth(mask)
+    """Read a mask as ``export_mask`` writes it: one row of 0/1 cells per
+    lookback position. A bad cell, a ragged row or a file with no rows
+    raises ValueError naming the file (rows and columns count from 1)."""
+    rows: list[list[int]] = []
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            cells = [cell.strip() for cell in line.split(",")]
+            if rows and len(cells) != len(rows[0]):
+                raise ValueError(f"{path}: row {number} has {len(cells)} columns, "
+                                 f"the rows before it {len(rows[0])}")
+            for column, cell in enumerate(cells, 1):
+                if cell not in ("0", "1"):
+                    raise ValueError(f"{path}: row {number}, column {column}: expected 0 or 1, got {cell!r}")
+            rows.append([int(cell) for cell in cells])
+    if not rows:
+        raise ValueError(f"{path}: mask file has no rows")
+    return SaliencyTruth(np.array(rows))

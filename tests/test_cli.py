@@ -347,6 +347,34 @@ def test_explain_rejects_bad_arguments_before_it_works(gen_dir, train_dir, tmp_p
     assert not (tmp_path / "x").exists()
 
 
+def test_bad_ratio_item_fails_before_the_checkpoint_loads(gen_dir, tmp_path, capsys):
+    # a non-number used to surface as a bare float() error, after the
+    # checkpoint was loaded and the data windowed
+    assert run("explain", "--checkpoint", tmp_path / "no_such.ckpt", "--data", gen_dir / "SYN1.csv",
+               "--ratios", "0.1,abc", "--out", tmp_path / "x") == 2
+    assert "--ratios: cannot read 'abc' as a number" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0,0,1\n0,1,x\n", "row 2, column 3: expected 0 or 1, got 'x'"),
+    ("0,0,1\n0,1\n", "row 2 has 2 columns, the rows before it 3"),
+    ("", "mask file has no rows"),
+], ids=["bad_cell", "ragged", "empty"])
+def test_bad_mask_fails_at_the_boundary(gen_dir, train_dir, tmp_path, capsys, text, message):
+    # a bad cell or a ragged row used to give numpy's message without the
+    # file; an empty file printed numpy's warning and then blamed a
+    # lookback mismatch
+    mask = tmp_path / "mask.csv"
+    mask.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("explain", "--checkpoint", train_dir / "model.ckpt", "--data", gen_dir / "SYN1.csv",
+                   "--truth", mask, "--out", tmp_path / "x") == 2
+    assert f"mask.csv: {message}" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
 def test_corrupt_checkpoint_archive_exits_2(gen_dir, train_dir, tmp_path, capsys):
     not_zip = tmp_path / "not_zip.ckpt"
     not_zip.write_bytes(b"definitely not a zip archive")

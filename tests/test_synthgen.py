@@ -1,15 +1,21 @@
 """Synthetic benchmark recipes, identifiability oracle, masks, file round trips."""
 
+import contextlib
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
+from crossscalenet.cli import main
 from crossscalenet.data import read_csv_matrix
 from crossscalenet.synthgen import (
+    AR_COEF,
     BUILTIN_NAMES,
     SaliencyTruth,
     SynthSpec,
+    ar1_series,
     builtin_spec,
     compose_target,
     draw_coefficients,
@@ -281,3 +287,83 @@ def test_mask_export_roundtrip(tmp_path):
     loaded = load_mask(path)
     assert np.array_equal(loaded.mask, truth.mask)
     assert np.array_equal(loaded.temporal, truth.temporal)
+
+
+# ---------------------------------------------------------------------------
+# golden digests: the data path is pinned bit for bit
+#
+# Recorded with numpy 2.4 on x86-64 from the generator whose AR(1) loop ran
+# element by element over numpy float64 scalars (series[i] = AR_COEF *
+# series[i - 1] + innovations[i]) and whose CSV went through csv.writer:
+# hashlib.sha256 over ndarray.tobytes() of each array, and over the bytes of
+# each file `gen --dataset SYN1` writes (10,000 samples, seed 42, lookback 96).
+
+GOLDEN_SEED42 = {
+    "SYN1": ("d97b2d94d2ec650698d1cd0d2fdd2aa7231a91d927b2fd8bf03ac11237b54a9f",
+             "e244ee11c4bf77fe46d894046e74fbd6e18e42b7437f72b97704552ed4c4331d"),
+    "SYN2": ("c36aeae1c63f5cbd49880272dc1fccc37ae9da440e5ec96f5baccbbcad395bfa",
+             "43663221d65cfb3bc85ce5a22b341016914d4e49f7a22448fe12407f922c3765"),
+    "SYN3": ("b508904b6a2e997f91080132ecd68f859a4a14da0e15ee4fe2a8917f5c4b5e09",
+             "b82c842e5babaec0293495357396a38d477e6b2646ab68680be0af36a0f51b86"),
+    "SYN4": ("b544e5f9653a16e5a2ca35b4cc00cdeb7c6a87f2bc896ad3897f5472a17ffe19",
+             "54bd274f6003fb6e6b97c50ad358a330caf2157a2da3e04c66749752ce179a0a"),
+    "SYN5": ("5b27097448fbe32fbf4e04b282bf7e65bd4ad243546e22cc691fee725a41fbd9",
+             "3bf4641c2793db98f3b171b326b7355bdc4718f03bd0d67d21cfe5eb81282ada"),
+    "SYN6": ("10547c32c85c85132e5406d431af7b0aa91380abcd966cdffb9411566567bd76",
+             "d813c832947f043a7af8fcf91aef7a37b02c0be991d12bc691fc42829f7fae59"),
+    "SYN7": ("32853239865e2fdc23fc531a9250ff6a637164d7b86b6dcc4a38776b37a8a0f2",
+             "b769f28ecab1ef19e16053f58df8edcb347c8c3fff0b0bebc23495cbe9098ad6"),
+    "SYN8": ("5b27097448fbe32fbf4e04b282bf7e65bd4ad243546e22cc691fee725a41fbd9",
+             "544af490e8c7adf83593d0357512929fc105c3e292d25801ced2a2ea5c4ae539"),
+}
+
+GOLDEN_GEN_SYN1 = {
+    "SYN1.csv": (1410894, "63b375b58ff48922a3ace0f95a580ee1f47fee85d88b0555c8638df029523db2"),
+    "SYN1.json": (236, "d574ccd6666e1fc45fef83e499dc33be1f091ca8582a9e6e358052635647c9eb"),
+    "SYN1_mask.csv": (1152, "ed8022f9e6e89154f6ebe5c5338fe8936424e32a076134efa28ebcbb81d1c972"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_digests_cover_every_builtin():
+    assert set(GOLDEN_SEED42) == set(BUILTIN_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEED42))
+def test_generate_dataset_matches_golden_digest(name):
+    features, target = generate_dataset(builtin_spec(name))
+    assert (_sha256(features.tobytes()), _sha256(target.tobytes())) == GOLDEN_SEED42[name]
+
+
+def test_gen_syn1_files_match_golden_digests(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--dataset", "SYN1", "--out", str(tmp_path)]) == 0
+    for name, (size, digest) in GOLDEN_GEN_SYN1.items():
+        data = (tmp_path / name).read_bytes()
+        assert (len(data), _sha256(data)) == (size, digest), name
+
+
+def _naive_ar1(innovations: np.ndarray) -> np.ndarray:
+    """The recursion as an element-by-element loop over numpy scalars."""
+    series = np.empty(len(innovations))
+    series[0] = innovations[0]
+    for i in range(1, len(innovations)):
+        series[i] = AR_COEF * series[i - 1] + innovations[i]
+    return series
+
+
+@pytest.mark.parametrize("n", [1, 2, 10_000])
+def test_ar1_series_matches_the_numpy_scalar_loop_bit_for_bit(n):
+    innovations = np.random.default_rng(n).normal(0.0, 3.0, size=n)
+    got = ar1_series(innovations)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == _naive_ar1(innovations).tobytes()
+
+
+def test_generate_features_accepts_a_single_sample():
+    spec = SynthSpec("one", (), (0,), 0.0, n_features=3, n_samples=1)
+    with np.errstate(invalid="ignore"):  # a one-sample series has zero spread
+        assert generate_features(spec).shape == (1, 3)
