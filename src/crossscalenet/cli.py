@@ -1,10 +1,11 @@
 """Command-line entry point: gen / train / explain / ablation.
 
-Every command resolves its parameters from an optional JSON config file
-plus flags (flags win), writes a resolved-config snapshot next to its
-outputs, and touches nothing outside --out. A config value is read as
-its flag reads its command-line text; null keeps the flag's default.
-The default output root is $CROSSSCALENET_OUT or ./runs.
+The values of an optional JSON config file (--config) become the
+subcommand's argparse defaults, each read as its flag reads its text
+(null keeps the flag's default). argparse uses a default only for an
+absent flag, so a flag wins even at its default value. Every command
+writes a resolved-config snapshot next to its outputs and touches
+nothing outside --out. The default output root is $CROSSSCALENET_OUT or ./runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import VARIANTS
-from .data import dataset_from_csv, make_windows, resolve_target
+from .data import make_windows, read_csv_matrix, resolve_target
 from .explain import DEFAULT_RATIOS, build_report, export_report_files
 from .model import CrossScaleNet, ModelConfig
 from .synthgen import (
@@ -72,33 +73,18 @@ def _config_value(action: argparse.Action, value, where: str):
     raise ValueError(f"{where}: expected {read.__name__}, got {json.dumps(value)}")
 
 
-def _resolve(args: argparse.Namespace, explicit: set[str]) -> dict:
-    """Merge JSON config file and flags; flags given on the command line win."""
-    resolved = {k: v for k, v in vars(args).items()
-                if k not in ("func", "config", "subparser", "command")}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        actions = {a.dest: a for a in args.subparser._actions}
-        for key, value in _read_json_object(config_path).items():
-            if key not in resolved:
-                raise ValueError(f"unknown config key {key!r} in {config_path}")
-            # null keeps the flag's default, as "seed": null keeps the default seed
-            if key not in explicit and value is not None:
-                resolved[key] = _config_value(actions[key], value, f"{config_path}: key {key!r}")
-    return resolved
-
-
-def _explicit_flags(args: argparse.Namespace, argv: list[str]) -> set[str]:
-    """Destinations of the flags given on the command line, even at their default.
-
-    Re-parses the subcommand's arguments into a namespace that already holds
-    a marker for every destination, so argparse fills in no defaults.
-    """
-    unset = object()
-    given = args.subparser.parse_args(
-        argv[argv.index(args.command) + 1 :], argparse.Namespace(**{k: unset for k in vars(args)})
-    )
-    return {k for k, v in vars(given).items() if v is not unset}
+def _resolve(subparser: argparse.ArgumentParser, config_path) -> dict:
+    """The config file's values for the subcommand's flags, typed as each flag
+    reads its text; an unknown key raises ValueError naming the file."""
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    values = {}
+    for key, value in _read_json_object(config_path).items():
+        if key not in actions:
+            raise ValueError(f"unknown config key {key!r} in {config_path}")
+        # null keeps the flag's default, as "seed": null keeps the default seed
+        if value is not None:
+            values[key] = _config_value(actions[key], value, f"{config_path}: key {key!r}")
+    return values
 
 
 def _write_snapshot(out_dir: Path, command: str, resolved: dict) -> None:
@@ -128,47 +114,45 @@ def _load_spec(resolved: dict) -> SynthSpec:
     return builtin_spec(name, n_samples=n_samples, seed=resolved["seed"])
 
 
-def cmd_gen(args, explicit: set[str]) -> int:
-    resolved = _resolve(args, explicit)
+def cmd_gen(resolved: dict) -> int:
     spec = _load_spec(resolved)
-    out = _prepare_out(resolved["out"] or Path(_out_root()) / f"gen_{spec.name}")
-
     features, target = generate_dataset(spec)
-    export_dataset(features, target, spec, out / f"{spec.name}.csv")
     truth = ground_truth_mask(spec, resolved["lookback"])
+    # made only now, so a run that fails leaves nothing behind
+    out = _prepare_out(resolved["out"] or Path(_out_root()) / f"gen_{spec.name}")
+    export_dataset(features, target, spec, out / f"{spec.name}.csv")
     export_mask(truth, out / f"{spec.name}_mask.csv")
     _write_snapshot(out, "gen", resolved)
     print(f"wrote {spec.name}.csv, {spec.name}.json, {spec.name}_mask.csv under {out}")
     return 0
 
 
-def _dataset_for(resolved: dict):
-    """Load --data (CSV path or builtin name) into a WindowDataset, windowed
-    on --target (a column name or index) or else the last column."""
-    data = resolved["data"]
-    lookback, horizon = resolved["lookback"], resolved["horizon"]
+def _dataset_for(data: str, lookback: int, horizon: int, target: str | int | None, seed: int):
+    """Window --data (CSV path, or builtin name generated at seed) on target
+    (a column name or index, or None for the last column); returns the
+    WindowDataset and the data's provenance."""
     if data in BUILTIN_NAMES:
-        spec = builtin_spec(data, seed=resolved["seed"])
-        features, target = generate_dataset(spec)
+        spec = builtin_spec(data, seed=seed)
+        features, series = generate_dataset(spec)
         # the columns and header of the CSV `gen` writes for this spec
         names = feature_names(spec) + ["target"]
-        dataset = make_windows(np.column_stack([features, target]), lookback, horizon,
-                               target_columns=resolve_target(names, resolved.get("target")),
-                               column_names=names)
-        return dataset, f"builtin:{data}"
-    # name + content hash: stable provenance, independent of where the file lives
-    digest = hashlib.sha256(Path(data).read_bytes()).hexdigest()[:16]
-    return (
-        dataset_from_csv(data, lookback, horizon, target=resolved.get("target")),
-        f"{Path(data).name}:{digest}",
-    )
+        values = np.column_stack([features, series])
+        ref = f"builtin:{data}"
+    else:
+        # name + content hash: stable provenance, independent of where the file lives
+        ref = f"{Path(data).name}:{hashlib.sha256(Path(data).read_bytes()).hexdigest()[:16]}"
+        names, values = read_csv_matrix(data)
+    dataset = make_windows(values, lookback, horizon,
+                           target_columns=resolve_target(names, target), column_names=names)
+    return dataset, ref
 
 
 def _train_run(resolved: dict, out_path: str | Path) -> Metrics:
     """Build the model and training configs from resolved parameters, train,
     evaluate on the test split (train if it is empty) and write model.ckpt,
     history.csv, metrics.json and resolved_config.json under out_path."""
-    dataset, data_ref = _dataset_for(resolved)
+    dataset, data_ref = _dataset_for(resolved["data"], resolved["lookback"], resolved["horizon"],
+                                     resolved["target"], resolved["seed"])
     model_config = ModelConfig(
         lookback=resolved["lookback"],
         horizon=resolved["horizon"],
@@ -205,38 +189,41 @@ def _train_run(resolved: dict, out_path: str | Path) -> Metrics:
     return metrics
 
 
-def cmd_train(args, explicit: set[str]) -> int:
-    resolved = _resolve(args, explicit)
+def cmd_train(resolved: dict) -> int:
     _train_run(resolved, resolved["out"] or Path(_out_root()) / "train")
     return 0
 
 
-def _parse_ratios(text: str) -> tuple[float, ...]:
-    """The comma-separated --ratios list; an item that is not a number
-    raises ValueError naming the flag and the item."""
-    ratios = []
+def _parse_list(flag: str, text: str, read, what: str) -> tuple:
+    """The comma-separated items of a list flag, each read by read; an item
+    it refuses raises ValueError naming the flag, the item and what it must be."""
+    items = []
     for item in text.split(","):
         try:
-            ratios.append(float(item))
+            items.append(read(item))
         except ValueError:
-            raise ValueError(f"--ratios: cannot read {item!r} as a number") from None
-    return tuple(ratios)
+            raise ValueError(f"{flag}: cannot read {item!r} as {what}") from None
+    return tuple(items)
 
 
-def cmd_explain(args, explicit: set[str]) -> int:
-    resolved = _resolve(args, explicit)
-    ratios = _parse_ratios(resolved["ratios"])
+def _variant(name: str) -> str:
+    if name not in VARIANTS:
+        raise ValueError(name)
+    return name
+
+
+def cmd_explain(resolved: dict) -> int:
+    ratios = _parse_list("--ratios", resolved["ratios"], float, "a number")
     model, extra = CrossScaleNet.load(resolved["checkpoint"])
-    lookback, horizon = model.config.lookback, model.config.horizon
 
     # a builtin dataset is regenerated with the seed it was trained on, and
     # without --target the data is windowed on the column the model learned
     trained_on = extra.get("target_columns")
-    target = resolved.get("target")
+    target = resolved["target"]
     if target is None and trained_on:
         target = trained_on[0]
-    dataset, _ = _dataset_for({**resolved, "lookback": lookback, "horizon": horizon, "target": target,
-                               "seed": int(extra.get("train_seed", resolved["seed"]))})
+    dataset, _ = _dataset_for(resolved["data"], model.config.lookback, model.config.horizon, target,
+                              int(extra.get("train_seed", resolved["seed"])))
     if dataset.n_columns != model.config.n_features:
         raise ValueError(
             f"checkpoint expects {model.config.n_features} columns, data has {dataset.n_columns}"
@@ -246,7 +233,7 @@ def cmd_explain(args, explicit: set[str]) -> int:
             f"checkpoint was trained on target columns {trained_on}, data targets {dataset.target_columns}"
         )
 
-    truth = load_mask(resolved["truth"]) if resolved.get("truth") else None
+    truth = load_mask(resolved["truth"]) if resolved["truth"] else None
     report = build_report(model, dataset, truth=truth, ratios=ratios,
                           ig_steps=resolved["ig_steps"], ig_windows=resolved["ig_windows"])
     # made only now, so a run that fails leaves no empty directory behind
@@ -257,11 +244,11 @@ def cmd_explain(args, explicit: set[str]) -> int:
     return 0
 
 
-def cmd_ablation(args, explicit: set[str]) -> int:
-    resolved = _resolve(args, explicit)
+def cmd_ablation(resolved: dict) -> int:
     datasets = resolved["datasets"].split(",")
-    variants = resolved["variants"].split(",")
-    seeds = [int(s) for s in resolved["seeds"].split(",")]
+    variants = _parse_list("--variants", resolved["variants"], _variant,
+                           f"a variant, one of {', '.join(VARIANTS)}")
+    seeds = _parse_list("--seeds", resolved["seeds"], int, "an integer")
     out = _prepare_out(resolved["out"] or Path(_out_root()) / "ablation")
     # every run trains with the sweep's training flags
     shared = {k: v for k, v in resolved.items() if k not in ("datasets", "variants", "seeds")}
@@ -378,12 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    # a new parser per call: config defaults never carry over to the next call
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            # argparse falls back on a default only for an absent flag, so flags win
+            args.subparser.set_defaults(**_resolve(args.subparser, args.config))
+            args = parser.parse_args(argv)
+        resolved = {k: v for k, v in vars(args).items()
+                    if k not in ("func", "config", "subparser", "command")}
         # no numpy warnings: tensor._op names the op of a blowup in one NonFiniteError
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args, _explicit_flags(args, argv))
+            return args.func(resolved)
     except (ValueError, OSError, NonFiniteError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ import json
 import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
+from typing import get_type_hints
 
 import numpy as np
 
@@ -401,14 +402,33 @@ def save_checkpoint(path, config: ModelConfig, params: CrossScaleNetParams, extr
             zf.writestr(info, np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _read_header(raw: bytes) -> tuple[ModelConfig, dict, dict]:
+    """config.json's model config, declared tensor shapes and extra fields.
+    A header not shaped as save_checkpoint writes it raises ValueError."""
+    header = json.loads(raw)
+    parts = ("model", "tensors", "extra")
+    if not (isinstance(header, dict) and all(isinstance(header.get(k), dict) for k in parts)):
+        raise ValueError("config.json: expected an object with the objects 'model', 'tensors' and 'extra'")
+    model, types = header["model"], get_type_hints(ModelConfig)
+    if set(model) != set(types):
+        raise ValueError(f"config.json: model keys {sorted(model)}, expected {sorted(types)}")
+    for key, value in model.items():
+        if type(value) is not types[key]:  # exact: JSON true is not the int 1
+            raise ValueError(
+                f"config.json: model key {key!r}: expected {types[key].__name__}, got {json.dumps(value)}"
+            )
+    return ModelConfig(**model), header["tensors"], header["extra"]
+
+
 def load_checkpoint(path) -> tuple[ModelConfig, CrossScaleNetParams, dict]:
+    """Config, parameters and extra fields of a checkpoint archive. A corrupt
+    archive or a malformed header raises ValueError naming the file."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
-            header = json.loads(zf.read("config.json"))
-            config = ModelConfig(**header["model"])
+            config, declared, extra = _read_header(zf.read("config.json"))
             params = init_params(config, seed=0)
-            expected = {name: tuple(t.shape) for name, t in params.named_tensors()}
-            declared = {name: tuple(shape) for name, shape in header["tensors"].items()}
+            # lists, as JSON holds them: a declared shape of any other type is just unequal
+            expected = {name: list(t.shape) for name, t in params.named_tensors()}
             if expected != declared:
                 missing = sorted(set(expected) ^ set(declared))
                 mismatched = sorted(
@@ -420,7 +440,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, CrossScaleNetParams, dict]:
             for name, t in params.named_tensors():
                 raw = zf.read(f"tensors/{name}")
                 t.data = np.frombuffer(raw, dtype="<f8").reshape(expected[name]).copy()
-            return config, params, dict(header["extra"])
+            return config, params, extra
     except (zipfile.BadZipFile, KeyError) as exc:
         # not a zip archive, or one without config.json or a tensor member
         raise ValueError(f"{path}: corrupt checkpoint archive ({type(exc).__name__}: {exc.args[0]})") from exc
+    except ValueError as exc:  # invalid JSON, a malformed header or tensor, an invalid config
+        raise ValueError(f"{path}: {exc}") from exc

@@ -82,6 +82,17 @@ def test_gen_samples_zero_is_rejected_not_defaulted(tmp_path, capsys):
     assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--dataset", "SYN1", "--lookback", "10"], "lookback 10 must exceed the largest lag 15"),
+    (["--dataset", "SYN5", "--samples", "50"], "n_samples 50 <= max lag 77"),
+], ids=["lookback_below_lag", "too_few_samples"])
+def test_gen_failure_leaves_no_out_directory(tmp_path, capsys, argv, message):
+    # the first left SYN1.csv and SYN1.json behind, the second an empty directory
+    assert run("gen", *argv, "--out", tmp_path / "x") == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
 def test_gen_custom_spec_file(tmp_path):
     spec_file = tmp_path / "custom.json"
     spec_file.write_text(json.dumps({
@@ -246,6 +257,27 @@ def test_ablation_sweep(gen_dir, tmp_path):
     assert (out2 / "ablation.csv").read_bytes() == (out / "ablation.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "1,x", "--seeds: cannot read 'x' as an integer"),
+    ("--variants", "self_attention,foo", "--variants: cannot read 'foo' as a variant, one of "),
+], ids=["seed", "variant"])
+def test_ablation_bad_list_item_fails_before_any_work(tmp_path, capsys, flag, value, message):
+    # a bad seed gave int()'s bare message; a bad variant trained the good
+    # ones, printed a traceback per bad run and exited 1
+    assert run("ablation", flag, value, *FAST_TRAIN, "--out", tmp_path / "x") == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
+def test_ablation_run_failure_goes_to_failures_json(tmp_path):
+    out = tmp_path / "sweep"
+    assert run("ablation", "--variants", "self_attention", "--seeds", "11", *FAST_TRAIN,
+               "--lr", "1e200", "--out", out) == 1
+    (failure,) = json.loads((out / "failures.json").read_text())
+    assert failure["variant"] == "self_attention" and failure["seed"] == 11
+    assert failure["error"].startswith("TrainingDiverged")
+
+
 def test_config_file_merge_flags_win(gen_dir, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"epochs": 1, "hidden": 8, "out": str(tmp_path / "from_file")}))
@@ -276,6 +308,40 @@ def test_flag_at_its_default_still_beats_config(tmp_path):
     mask = np.loadtxt(tmp_path / "out" / "SYN1_mask.csv", delimiter=",", ndmin=2)
     assert mask.shape[0] == 96
     assert json.loads((tmp_path / "out" / "resolved_config.json").read_text())["lookback"] == 96
+
+
+def test_explain_config_file(gen_dir, train_dir, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"ratios": "0.2", "ig_windows": 2}))
+    out = tmp_path / "explain"
+    assert run("explain", "--checkpoint", train_dir / "model.ckpt", "--data", gen_dir / "SYN1.csv",
+               "--ig-steps", "2", "--config", config, "--out", out) == 0
+    assert set(json.loads((out / "report.json").read_text())["sufficiency"]) == {"0.2"}
+    snapshot = json.loads((out / "resolved_config.json").read_text())
+    assert (snapshot["ratios"], snapshot["ig_windows"], snapshot["ig_steps"]) == ("0.2", 2, 2)
+
+
+def test_ablation_config_file(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seeds": "11", "variants": "self_attention"}))
+    out = tmp_path / "sweep"
+    assert run("ablation", *FAST_TRAIN, "--config", config, "--out", out) == 0
+    rows = (out / "ablation.csv").read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("SYN1,self_attention,")
+    assert (out / "runs" / "SYN1_self_attention_11" / "model.ckpt").exists()
+
+
+def test_config_defaults_do_not_carry_over_between_calls(tmp_path):
+    # each call's config file sets its own defaults; the second call has none
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lookback": 48, "seed": 7}))
+    assert run("gen", "--samples", "200", "--config", config, "--out", tmp_path / "a") == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"seed": 3}))
+    assert run("gen", "--samples", "200", "--config", other, "--out", tmp_path / "b") == 0
+    assert run("gen", "--samples", "200", "--out", tmp_path / "c") == 0
+    read = [json.loads((tmp_path / d / "resolved_config.json").read_text()) for d in "abc"]
+    assert [(r["lookback"], r["seed"]) for r in read] == [(48, 7), (96, 3), (96, 42)]
 
 
 def one_error_line(capsys) -> str:
@@ -383,7 +449,34 @@ def test_corrupt_checkpoint_archive_exits_2(gen_dir, train_dir, tmp_path, capsys
         for item in src.infolist():
             if item.filename != "tensors/fusion.weight":
                 dst.writestr(item, src.read(item.filename))
-    for ckpt, kind in ((not_zip, "BadZipFile"), (missing, "tensors/fusion.weight")):
+    cases = [(not_zip, "BadZipFile"), (missing, "tensors/fusion.weight")]
+
+    # a malformed config.json used to end in a TypeError or AttributeError
+    # traceback, or in an error line that did not name the checkpoint
+    with zipfile.ZipFile(train_dir / "model.ckpt") as zf:
+        header = json.loads(zf.read("config.json"))
+    model = header["model"]
+    bad_headers = {
+        "extra_key": ({**header, "model": {**model, "depth": 2}}, "model keys"),
+        "missing_key": ({**header, "model": {k: v for k, v in model.items() if k != "patch_len"}},
+                        "model keys"),
+        "string_lookback": ({**header, "model": {**model, "lookback": "32"}},
+                            "model key 'lookback': expected int, got \"32\""),
+        "tensors_list": ({**header, "tensors": []}, "expected an object with the objects"),
+        "bad_variant": ({**header, "model": {**model, "variant": "nope"}}, "unknown variant 'nope'"),
+        "invalid_json": ("{not json", "Expecting property name"),
+    }
+    for name, (content, kind) in bad_headers.items():
+        ckpt = tmp_path / f"{name}.ckpt"
+        with zipfile.ZipFile(train_dir / "model.ckpt") as src, zipfile.ZipFile(ckpt, "w") as dst:
+            for item in src.infolist():
+                payload = src.read(item.filename)
+                if item.filename == "config.json":
+                    payload = content if isinstance(content, str) else json.dumps(content)
+                dst.writestr(item, payload)
+        cases.append((ckpt, kind))
+
+    for ckpt, kind in cases:
         assert run("explain", "--checkpoint", ckpt, "--data", gen_dir / "SYN1.csv",
                    "--out", tmp_path / "x") == 2
         line = one_error_line(capsys)
