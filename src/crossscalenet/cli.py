@@ -150,7 +150,8 @@ def _dataset_for(data: str, lookback: int, horizon: int, target: str | int | Non
 def _train_run(resolved: dict, out_path: str | Path) -> Metrics:
     """Build the model and training configs from resolved parameters, train,
     evaluate on the test split (train if it is empty) and write model.ckpt,
-    history.csv, metrics.json and resolved_config.json under out_path."""
+    history.csv, metrics.json and resolved_config.json under out_path,
+    which is made only then, so a run that fails leaves nothing behind."""
     dataset, data_ref = _dataset_for(resolved["data"], resolved["lookback"], resolved["horizon"],
                                      resolved["target"], resolved["seed"])
     model_config = ModelConfig(
@@ -172,11 +173,11 @@ def _train_run(resolved: dict, out_path: str | Path) -> Metrics:
         patience=resolved["patience"],
     )
 
-    out = _prepare_out(out_path)
     model = CrossScaleNet(model_config, seed=resolved["seed"])
     _, history = train(model, dataset, train_config)
     metrics = evaluate(model, dataset, "test" if dataset.n_windows("test") else "train")
 
+    out = _prepare_out(out_path)
     model.save(out / "model.ckpt", extra={
         "data": data_ref,
         "target_columns": dataset.target_columns,
@@ -212,6 +213,12 @@ def _variant(name: str) -> str:
     return name
 
 
+def _dataset_item(item: str) -> str:
+    if item not in BUILTIN_NAMES and not Path(item).is_file():
+        raise ValueError(item)
+    return item
+
+
 def cmd_explain(resolved: dict) -> int:
     ratios = _parse_list("--ratios", resolved["ratios"], float, "a number")
     model, extra = CrossScaleNet.load(resolved["checkpoint"])
@@ -245,7 +252,8 @@ def cmd_explain(resolved: dict) -> int:
 
 
 def cmd_ablation(resolved: dict) -> int:
-    datasets = resolved["datasets"].split(",")
+    datasets = _parse_list("--datasets", resolved["datasets"], _dataset_item,
+                           f"a dataset, one of {', '.join(BUILTIN_NAMES)} or an existing file")
     variants = _parse_list("--variants", resolved["variants"], _variant,
                            f"a variant, one of {', '.join(VARIANTS)}")
     seeds = _parse_list("--seeds", resolved["seeds"], int, "an integer")
@@ -351,12 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--config", default=None)
     p_explain.set_defaults(func=cmd_explain, subparser=p_explain)
 
-    p_abl = sub.add_parser("ablation", help="cross-product sweep over datasets/variants/seeds")
+    # no abbreviated flags: --seed, which train and explain take, would read as --seeds
+    p_abl = sub.add_parser("ablation", help="cross-product sweep over datasets/variants/seeds",
+                           allow_abbrev=False)
     p_abl.add_argument("--datasets", default="SYN1")
     p_abl.add_argument("--variants", default=",".join(VARIANTS))
     p_abl.add_argument("--seeds", default="42")
     _add_common_train_flags(p_abl)
-    p_abl.add_argument("--seed", type=int, default=DEFAULT_SEED, help=argparse.SUPPRESS)
     p_abl.add_argument("--out", default=None)
     p_abl.add_argument("--config", default=None)
     p_abl.set_defaults(func=cmd_ablation, subparser=p_abl)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -59,9 +59,6 @@ class AgreementScores:
     precision_at_k: float
     rank_auc: float
     k: int
-
-    def to_dict(self) -> dict:
-        return {"precision_at_k": self.precision_at_k, "rank_auc": self.rank_auc, "k": self.k}
 
 
 # ---------------------------------------------------------------------------
@@ -172,31 +169,26 @@ def saliency_agreement(saliency: SaliencyVector, truth: SaliencyTruth) -> Agreem
 # perturbations
 
 
-def perturb(window: np.ndarray, mask: np.ndarray, mode: str) -> np.ndarray:
-    """Mean-replace positions of one (T, F) window or of every window in a
-    (B, T, F) stack.
+def perturb(stack: np.ndarray, mask: np.ndarray, mode: str) -> np.ndarray:
+    """Mean-replace the masked time steps of every window in a (B, T, F) stack.
 
-    keep: positions outside the mask are replaced by the feature's window
-    mean; remove: positions inside the mask are replaced. keep(mask) and
-    remove(complement) coincide bit-exactly. The mask is a (T,) vector or
-    broadcasts to (T, F); a stack applies it to every window.
+    The (T,) mask marks time steps. keep: steps outside the mask are
+    replaced by each window's feature mean; remove: steps inside it are
+    replaced. keep(mask) and remove(complement) coincide bit-exactly.
     """
     if mode not in ("keep", "remove"):
         raise ValueError(f"mode must be 'keep' or 'remove', got {mode!r}")
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim not in (2, 3):
-        raise ValueError(f"perturb needs a (T, F) window or a (B, T, F) stack, got shape {window.shape}")
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError(f"perturb needs a (B, T, F) stack, got shape {stack.shape}")
     mask = np.asarray(mask)
-    if mask.ndim == 1:
-        mask = mask[:, None]
-    try:
-        mask = np.broadcast_to(mask != 0, window.shape[-2:])
-    except ValueError as exc:
-        raise ValueError(f"mask shape {mask.shape} does not broadcast to window {window.shape}") from exc
-    means = window.mean(axis=-2, keepdims=True)
+    if mask.shape != stack.shape[1:2]:
+        raise ValueError(f"mask shape {mask.shape} != ({stack.shape[1]},) for stack {stack.shape}")
+    inside = (mask != 0)[:, None]
+    means = stack.mean(axis=1, keepdims=True)
     if mode == "keep":
-        return np.where(mask, window, means)
-    return np.where(mask, means, window)
+        return np.where(inside, stack, means)
+    return np.where(inside, means, stack)
 
 
 def _check_ratio(ratio: float) -> None:
@@ -209,14 +201,13 @@ def _check_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _top_ratio_mask(saliency, lookback: int, ratio: float) -> np.ndarray:
+def _top_ratio_mask(saliency: SaliencyVector, lookback: int, ratio: float) -> np.ndarray:
     _check_ratio(ratio)
-    values = saliency.values if isinstance(saliency, SaliencyVector) else np.asarray(saliency)
-    if len(values) != lookback:
-        raise ValueError(f"saliency length {len(values)} != lookback {lookback}")
+    if len(saliency.values) != lookback:
+        raise ValueError(f"saliency length {len(saliency.values)} != lookback {lookback}")
     k = math.ceil(ratio * lookback)
     mask = np.zeros(lookback)
-    mask[np.argsort(-values, kind="mergesort")[:k]] = 1.0
+    mask[np.argsort(-saliency.values, kind="mergesort")[:k]] = 1.0
     return mask
 
 
@@ -256,7 +247,7 @@ class _SplitErrors:
     def blank(self) -> float:
         return self.mse(perturb(self.x, np.ones(self.dataset.lookback), "remove"))
 
-    def masked(self, saliency, ratio: float, mode: str) -> float:
+    def masked(self, saliency: SaliencyVector, ratio: float, mode: str) -> float:
         """Normalized error gap with the top-ratio salient positions kept
         (sufficiency) or removed (comprehensiveness)."""
         mask = _top_ratio_mask(saliency, self.dataset.lookback, ratio)
@@ -277,7 +268,7 @@ class _SplitErrors:
 def sufficiency(
     model: CrossScaleNet,
     dataset: WindowDataset,
-    saliency: SaliencyVector | np.ndarray,
+    saliency: SaliencyVector,
     ratio: float,
 ) -> float:
     """Error increase on the test windows when keeping only the top-ratio
@@ -289,7 +280,7 @@ def sufficiency(
 def comprehensiveness(
     model: CrossScaleNet,
     dataset: WindowDataset,
-    saliency: SaliencyVector | np.ndarray,
+    saliency: SaliencyVector,
     ratio: float,
 ) -> float:
     """Error increase on the test windows when removing the top-ratio
@@ -320,25 +311,24 @@ _IG_BATCH = 256
 
 
 def target_sum_grad_fn(model: CrossScaleNet, target_columns: list[int]):
-    """Window(s) -> (sum of target-channel forecasts, input gradient).
+    """Stack -> (sum of target-channel forecasts, input gradient).
 
-    The returned function takes one (T, F) window or a (K, T, F) stack. The
-    value sums over the whole stack and the gradient has the input's shape.
-    One tape serves the whole stack, and row k of its gradient is exactly
-    window k's own gradient, because every op of the forward pass (instance
-    norm, pooling, attention, the encoders and fusion) acts within one
-    window. Only the floating-point summation order depends on K.
+    The returned function takes a (K, T, F) stack of windows; a lone window
+    goes in as a one-window stack. The value sums over the whole stack and
+    the gradient is (K, T, F). One tape serves the whole stack, and row k
+    of its gradient is exactly window k's own gradient, because every op of
+    the forward pass (instance norm, pooling, attention, the encoders and
+    fusion) acts within one window. Only the floating-point summation order
+    depends on K.
     """
 
-    def value_and_grad(windows: np.ndarray) -> tuple[float, np.ndarray]:
-        windows = np.asarray(windows, dtype=np.float64)
-        single = windows.ndim == 2
+    def value_and_grad(stack: np.ndarray) -> tuple[float, np.ndarray]:
         with Tape() as tape:
-            x = Tensor(windows[None] if single else windows, requires_grad=True)
+            x = Tensor(np.asarray(stack, dtype=np.float64), requires_grad=True)
             forecast, _ = model.forward(x)
             total = sum_all(take_lastdim(forecast, target_columns))
             tape.backward(total)
-        return total.item(), x.grad[0] if single else x.grad
+        return total.item(), x.grad
 
     return value_and_grad
 
@@ -378,8 +368,8 @@ def integrated_gradients(
 def ig_attribution_map(
     model: CrossScaleNet,
     dataset: WindowDataset,
-    steps: int = 64,
-    n_windows: int = 16,
+    steps: int,
+    n_windows: int,
 ) -> np.ndarray:
     """Mean |IG| over a deterministic sample of test windows, shape (T, F)."""
     _check_positive("n_windows", n_windows)
@@ -410,7 +400,7 @@ class ExplainReport:
     feature_importance_ig: dict[str, float]
     sufficiency: dict[float, float]
     comprehensiveness: dict[float, float]
-    agreement: AgreementScores | None = None
+    agreement: AgreementScores | None
 
     def to_dict(self) -> dict:
         return {
@@ -425,13 +415,8 @@ class ExplainReport:
             },
             "sufficiency": {f"{r:g}": v for r, v in self.sufficiency.items()},
             "comprehensiveness": {f"{r:g}": v for r, v in self.comprehensiveness.items()},
-            "agreement": self.agreement.to_dict() if self.agreement else None,
+            "agreement": asdict(self.agreement) if self.agreement else None,
         }
-
-    def write_json(self, path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))
-        return path
 
 
 def build_report(
@@ -509,8 +494,10 @@ def export_report_files(report: ExplainReport, out_dir) -> list[Path]:
     (features x lookback) attribution heatmap (CSV + PGM)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    report_path = out_dir / "report.json"
+    report_path.write_text(json.dumps(report.to_dict(), indent=1, sort_keys=True))
     written = [
-        report.write_json(out_dir / "report.json"),
+        report_path,
         write_saliency_csv(out_dir / "saliency_temporal.csv", report.saliency.values),
         write_pgm(out_dir / "saliency_temporal.pgm", report.saliency.values[None, :]),
         write_saliency_csv(out_dir / "saliency_map.csv", report.attribution_map),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +59,9 @@ class AdamState:
     """First/second moment buffers: one flat vector each over all parameter
     tensors, in order, row-major."""
 
-    step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    step: int
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":

@@ -260,10 +260,13 @@ def test_ablation_sweep(gen_dir, tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--seeds", "1,x", "--seeds: cannot read 'x' as an integer"),
     ("--variants", "self_attention,foo", "--variants: cannot read 'foo' as a variant, one of "),
-], ids=["seed", "variant"])
+    ("--datasets", "SYN1,nosuch.csv",
+     "--datasets: cannot read 'nosuch.csv' as a dataset, one of SYN1, SYN2, "),
+], ids=["seed", "variant", "dataset"])
 def test_ablation_bad_list_item_fails_before_any_work(tmp_path, capsys, flag, value, message):
-    # a bad seed gave int()'s bare message; a bad variant trained the good
-    # ones, printed a traceback per bad run and exited 1
+    # a bad seed gave int()'s bare message; a bad variant or a missing
+    # dataset file trained the good ones, printed a traceback per bad run
+    # and exited 1
     assert run("ablation", flag, value, *FAST_TRAIN, "--out", tmp_path / "x") == 2
     assert message in one_error_line(capsys)
     assert not (tmp_path / "x").exists()
@@ -276,6 +279,20 @@ def test_ablation_run_failure_goes_to_failures_json(tmp_path):
     (failure,) = json.loads((out / "failures.json").read_text())
     assert failure["variant"] == "self_attention" and failure["seed"] == 11
     assert failure["error"].startswith("TrainingDiverged")
+    assert not (out / "runs" / "SYN1_self_attention_11").exists()
+
+
+def test_ablation_has_no_seed_flag_or_key(tmp_path, capsys):
+    # every run takes its seed from --seeds; a lone --seed was only recorded
+    with pytest.raises(SystemExit) as exc:
+        run("ablation", "--seed", "5", *FAST_TRAIN, "--out", tmp_path / "x")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 5}))
+    assert run("ablation", *FAST_TRAIN, "--config", config, "--out", tmp_path / "x") == 2
+    assert "unknown config key 'seed'" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_file_merge_flags_win(gen_dir, tmp_path):
@@ -369,6 +386,14 @@ def test_diverged_training_exits_2(gen_dir, tmp_path, capsys):
                "--out", tmp_path / "x") == 2
     line = one_error_line(capsys)
     assert "epoch 0" in line and "lr=1e+200" in line
+
+
+def test_diverged_training_leaves_no_out_directory(gen_dir, tmp_path, capsys):
+    # the directory used to be made before training, so it was left empty
+    assert run("train", "--data", gen_dir / "SYN1.csv", *FAST_TRAIN, "--lr", "1e200",
+               "--out", tmp_path / "x") == 2
+    assert "lr=1e+200" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
 
 
 def test_diverged_training_prints_no_numpy_warning(gen_dir, tmp_path, capsys):

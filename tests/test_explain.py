@@ -308,19 +308,19 @@ def test_agreement_rejects_all_zero_truth_and_length_mismatch():
 
 
 def test_perturb_identities_and_duality():
-    window = RNG.normal(size=(10, 3))
+    stack = RNG.normal(size=(10, 3))[None]
     full = np.ones(10)
     empty = np.zeros(10)
-    assert np.array_equal(perturb(window, full, "keep"), window)
-    assert np.array_equal(perturb(window, empty, "remove"), window)
+    assert np.array_equal(perturb(stack, full, "keep"), stack)
+    assert np.array_equal(perturb(stack, empty, "remove"), stack)
     mask = (RNG.uniform(size=10) > 0.5).astype(float)
-    assert np.array_equal(perturb(window, mask, "keep"), perturb(window, 1 - mask, "remove"))
+    assert np.array_equal(perturb(stack, mask, "keep"), perturb(stack, 1 - mask, "remove"))
 
 
 def test_perturb_replaces_with_feature_means():
     window = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 50.0], [7.0, 70.0]])
     mask = np.array([1.0, 0.0, 0.0, 1.0])
-    kept = perturb(window, mask, "keep")
+    (kept,) = perturb(window[None], mask, "keep")
     assert np.array_equal(kept[0], window[0])
     assert np.array_equal(kept[3], window[3])
     assert np.allclose(kept[1], window.mean(axis=0))
@@ -329,17 +329,17 @@ def test_perturb_replaces_with_feature_means():
 
 def test_perturb_validation():
     window = RNG.normal(size=(4, 2))
+    with pytest.raises(ValueError, match=r"needs a \(B, T, F\) stack, got shape \(4, 2\)"):
+        perturb(window, np.ones(4), "keep")  # a lone window goes in as window[None]
     with pytest.raises(ValueError):
-        perturb(window, np.ones(5), "keep")
-    with pytest.raises(ValueError):
-        perturb(window, np.ones(4), "smear")
+        perturb(window[None], np.ones(4), "smear")
     stack = RNG.normal(size=(3, 4, 2))
     with pytest.raises(ValueError):
         perturb(stack, np.ones(4), "smear")
-    with pytest.raises(ValueError):
-        perturb(stack, np.ones(5), "remove")
-    with pytest.raises(ValueError):
-        perturb(stack, np.ones((3, 4, 2)), "keep")
+    # the mask is one (T,) vector of time steps, nothing that broadcasts to it
+    for shape in ((5,), (4, 2), (4, 1), (3, 4, 2)):
+        with pytest.raises(ValueError, match="mask shape"):
+            perturb(stack, np.ones(shape), "remove")
 
 
 def test_perturb_stack_matches_single_windows():
@@ -348,7 +348,7 @@ def test_perturb_stack_matches_single_windows():
     for mode in ("keep", "remove"):
         batched = perturb(stack, mask, mode)
         for b in range(len(stack)):
-            assert np.array_equal(batched[b], perturb(stack[b], mask, mode))
+            assert np.array_equal(batched[b : b + 1], perturb(stack[b : b + 1], mask, mode))
 
 
 def test_sufficiency_endpoints(trained_setup):
@@ -450,7 +450,7 @@ def test_ig_completeness_on_trained_model(trained_setup):
     f = target_sum_grad_fn(model, ds.target_columns)
     attribution = integrated_gradients(f, window, steps=64)
     baseline = np.broadcast_to(window.mean(axis=0, keepdims=True), window.shape)
-    delta = f(window)[0] - f(baseline)[0]
+    delta = f(window[None])[0] - f(baseline[None])[0]
     assert abs(attribution.sum() - delta) <= 0.02 * max(abs(delta), 1e-9), (
         f"completeness gap {attribution.sum() - delta:.3e} vs delta {delta:.3e}")
 
@@ -462,10 +462,19 @@ def test_stacked_gradient_matches_per_window(trained_setup):
     f = target_sum_grad_fn(model, ds.target_columns)
     total, grads = f(stack)
     assert grads.shape == stack.shape
-    singles = [f(window) for window in stack]
+    singles = [f(window[None]) for window in stack]
     assert abs(total - sum(v for v, _ in singles)) <= 1e-12 * max(1.0, abs(total))
     for k, (_, grad) in enumerate(singles):
-        assert np.allclose(grads[k], grad, rtol=0.0, atol=1e-12)
+        assert grad.shape == (1, *stack.shape[1:])
+        assert np.allclose(grads[k], grad[0], rtol=0.0, atol=1e-12)
+
+
+def test_grad_fn_rejects_a_lone_window(trained_setup):
+    model, ds = trained_setup
+    x, _ = ds.windows("test")
+    f = target_sum_grad_fn(model, ds.target_columns)
+    with pytest.raises(ValueError, match=r"expected input \(B, 32, 7\), got \(32, 7\)"):
+        f(x[0])
 
 
 def test_ig_steps_validation():
