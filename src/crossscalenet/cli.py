@@ -17,17 +17,19 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .attention import VARIANTS
-from .data import make_windows, read_csv_matrix, resolve_target
+from .data import dataset_from_csv, make_windows, resolve_target
 from .explain import DEFAULT_RATIOS, build_report, export_report_files
 from .model import CrossScaleNet, ModelConfig
 from .synthgen import (
     BUILTIN_NAMES,
     DEFAULT_N_SAMPLES,
+    DEFAULT_SEED,
     SynthSpec,
     builtin_spec,
     export_dataset,
@@ -39,8 +41,6 @@ from .synthgen import (
 )
 from .tensor import NonFiniteError
 from .train import Metrics, TrainConfig, TrainingDiverged, evaluate, train, write_history_csv
-
-DEFAULT_SEED = 42
 
 
 def _out_root() -> str:
@@ -129,22 +129,15 @@ def cmd_gen(resolved: dict) -> int:
 
 def _dataset_for(data: str, lookback: int, horizon: int, target: str | int | None, seed: int):
     """Window --data (CSV path, or builtin name generated at seed) on target
-    (a column name or index, or None for the last column); returns the
-    WindowDataset and the data's provenance."""
-    if data in BUILTIN_NAMES:
-        spec = builtin_spec(data, seed=seed)
-        features, series = generate_dataset(spec)
-        # the columns and header of the CSV `gen` writes for this spec
-        names = feature_names(spec) + ["target"]
-        values = np.column_stack([features, series])
-        ref = f"builtin:{data}"
-    else:
-        # name + content hash: stable provenance, independent of where the file lives
-        ref = f"{Path(data).name}:{hashlib.sha256(Path(data).read_bytes()).hexdigest()[:16]}"
-        names, values = read_csv_matrix(data)
-    dataset = make_windows(values, lookback, horizon,
-                           target_columns=resolve_target(names, target), column_names=names)
-    return dataset, ref
+    (a column name or index, or None for the last column)."""
+    if data not in BUILTIN_NAMES:
+        return dataset_from_csv(data, lookback, horizon, target)
+    spec = builtin_spec(data, seed=seed)
+    features, series = generate_dataset(spec)
+    # the columns and header of the CSV `gen` writes for this spec
+    names = feature_names(spec) + ["target"]
+    return make_windows(np.column_stack([features, series]), lookback, horizon,
+                        target_columns=resolve_target(names, target), column_names=names)
 
 
 def _train_run(resolved: dict, out_path: str | Path) -> Metrics:
@@ -152,8 +145,12 @@ def _train_run(resolved: dict, out_path: str | Path) -> Metrics:
     evaluate on the test split (train if it is empty) and write model.ckpt,
     history.csv, metrics.json and resolved_config.json under out_path,
     which is made only then, so a run that fails leaves nothing behind."""
-    dataset, data_ref = _dataset_for(resolved["data"], resolved["lookback"], resolved["horizon"],
-                                     resolved["target"], resolved["seed"])
+    data = resolved["data"]
+    dataset = _dataset_for(data, resolved["lookback"], resolved["horizon"], resolved["target"],
+                           resolved["seed"])
+    # a CSV's name + content hash: stable provenance, independent of where the file lives
+    data_ref = (f"builtin:{data}" if data in BUILTIN_NAMES else
+                f"{Path(data).name}:{hashlib.sha256(Path(data).read_bytes()).hexdigest()[:16]}")
     model_config = ModelConfig(
         lookback=resolved["lookback"],
         horizon=resolved["horizon"],
@@ -184,7 +181,7 @@ def _train_run(resolved: dict, out_path: str | Path) -> Metrics:
         "train_seed": resolved["seed"],
     })
     write_history_csv(history, out / "history.csv")
-    (out / "metrics.json").write_text(json.dumps(metrics.to_dict(), indent=1, sort_keys=True))
+    (out / "metrics.json").write_text(json.dumps(asdict(metrics), indent=1, sort_keys=True))
     _write_snapshot(out, "train", resolved)
     print(f"test mse {metrics.mse:.6f} mae {metrics.mae:.6f}; artifacts under {out}")
     return metrics
@@ -229,8 +226,8 @@ def cmd_explain(resolved: dict) -> int:
     target = resolved["target"]
     if target is None and trained_on:
         target = trained_on[0]
-    dataset, _ = _dataset_for(resolved["data"], model.config.lookback, model.config.horizon, target,
-                              int(extra.get("train_seed", resolved["seed"])))
+    dataset = _dataset_for(resolved["data"], model.config.lookback, model.config.horizon, target,
+                           int(extra.get("train_seed", resolved["seed"])))
     if dataset.n_columns != model.config.n_features:
         raise ValueError(
             f"checkpoint expects {model.config.n_features} columns, data has {dataset.n_columns}"
@@ -251,6 +248,19 @@ def cmd_explain(resolved: dict) -> int:
     return 0
 
 
+def _run_names(datasets: tuple) -> list[str]:
+    """Each --datasets item's run-directory name: the builtin name or the CSV's
+    stem, so every run stays under --out; a taken name gets the first free -2, -3, ..."""
+    names = []
+    for item in datasets:
+        base = item if item in BUILTIN_NAMES else Path(item).stem
+        name, k = base, 2
+        while name in names:
+            name, k = f"{base}-{k}", k + 1
+        names.append(name)
+    return names
+
+
 def cmd_ablation(resolved: dict) -> int:
     datasets = _parse_list("--datasets", resolved["datasets"], _dataset_item,
                            f"a dataset, one of {', '.join(BUILTIN_NAMES)} or an existing file")
@@ -263,11 +273,11 @@ def cmd_ablation(resolved: dict) -> int:
 
     rows = []
     failures = []
-    for dataset_name in datasets:
+    for dataset_name, run_name in zip(datasets, _run_names(datasets)):
         for variant in variants:
             per_seed = []
             for seed in seeds:
-                run_dir = out / "runs" / f"{dataset_name}_{variant}_{seed}"
+                run_dir = out / "runs" / f"{run_name}_{variant}_{seed}"
                 try:
                     run = {**shared, "data": dataset_name, "variant": variant, "seed": seed,
                            "target": None, "out": str(run_dir)}

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-SPLITS = ("train", "val", "test")
 DEFAULT_FRACTIONS = (0.7, 0.1, 0.2)
 
 

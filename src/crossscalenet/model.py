@@ -42,7 +42,6 @@ from .attention import (
     cross_patch_attention,
 )
 from .tensor import (
-    NonFiniteError,
     ShapeError,
     Tensor,
     avg_downsample,
@@ -228,7 +227,7 @@ def _trend_map(length: int, kernel: int) -> Tensor:
     lookback 336).
     """
     trend_map = np.empty((length, length))
-    np.copyto(trend_map, moving_average_matrix.__wrapped__(length, kernel).T)
+    np.copyto(trend_map, moving_average_matrix(length, kernel).T)
     trend_map.setflags(write=False)
     return Tensor(trend_map)
 
@@ -277,8 +276,6 @@ def model_forward(
         raise ShapeError(
             f"expected input (B, {config.lookback}, {config.n_features}), got {x.shape}"
         )
-    if not np.all(np.isfinite(x.data)):
-        raise NonFiniteError("model input contains NaN/Inf")
 
     stats_shape = (x.shape[0], config.n_features, 1)
     x_in = swap_last2(x)  # (B, D, T)

@@ -20,6 +20,7 @@ the objects alive at once stay few.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -93,25 +94,41 @@ class SynthSpec:
     def max_lag(self) -> int:
         return max(self.important_lags, default=0)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict, source: str = "") -> "SynthSpec":
-        """Inverse of ``to_dict``; a missing or unreadable entry raises
-        ``ValueError`` naming ``source`` and its key."""
-        readers = {"name": str, "important_lags": lambda v: tuple(map(int, v)),
-                   "important_features": lambda v: tuple(map(int, v)), "noise_sigma": float,
-                   "n_features": int, "n_samples": int, "seed": int}
-        kwargs = {}
-        for key, read in readers.items():
+        """Inverse of ``asdict`` on a dict read from JSON; a missing or unknown
+        key, or a value not of its field's JSON type, raises ``ValueError``
+        naming ``source`` and the key. A bool is neither a number nor an integer."""
+        for key in d:
+            if key not in _SPEC_TYPES:
+                raise ValueError(f"{source}unknown key {key!r}")
+        for key, (accepts, what) in _SPEC_TYPES.items():
             if key not in d:
                 raise ValueError(f"{source}missing key {key!r}")
-            try:
-                kwargs[key] = read(d[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"{source}key {key!r}: cannot read {d[key]!r}") from None
-        return cls(**kwargs)
+            if not accepts(d[key]):
+                raise ValueError(f"{source}key {key!r}: expected {what}, got {json.dumps(d[key])}")
+        return cls(**{**d, "noise_sigma": float(d["noise_sigma"])})
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+# SynthSpec field -> (accepts its JSON value, what the value must be)
+_SPEC_TYPES = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "important_lags": (_is_int_list, "a list of integers"),
+    "important_features": (_is_int_list, "a list of integers"),
+    # NaN and Infinity, which Python's json reads, are not JSON numbers
+    "noise_sigma": (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v), "a finite number"),
+    "n_features": (_is_int, "an integer"),
+    "n_samples": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+}
 
 
 @dataclass
@@ -269,7 +286,7 @@ def export_dataset(features: np.ndarray, target: np.ndarray, spec: SynthSpec, pa
             rows = zip(features[lo : lo + _BLOCK].tolist(), target[lo : lo + _BLOCK].tolist())
             fh.writelines(line % (*row, value) for row, value in rows)
     sidecar = path.with_suffix(".json")
-    sidecar.write_text(json.dumps(spec.to_dict(), indent=1, sort_keys=True))
+    sidecar.write_text(json.dumps(asdict(spec), indent=1, sort_keys=True))
     return path
 
 

@@ -87,32 +87,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 # Maps the output gradient to one gradient contribution per input, None
@@ -611,7 +593,6 @@ def take_lastdim(x, indices: Sequence[int]) -> Tensor:
 # W is almost all zeros, sum strided pairs instead.
 
 
-@lru_cache(maxsize=None)
 def moving_average_matrix(length: int, kernel: int) -> np.ndarray:
     """(T, T) centered moving average with replicate padding: trend = x @ M.T."""
     half = (kernel - 1) // 2
@@ -620,7 +601,6 @@ def moving_average_matrix(length: int, kernel: int) -> np.ndarray:
         for off in range(-half, half + 1):
             col = min(max(row + off, 0), length - 1)
             w[row, col] += 1.0 / kernel
-    w.setflags(write=False)
     return w
 
 

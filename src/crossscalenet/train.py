@@ -43,9 +43,6 @@ class Metrics:
     mse: float
     mae: float
 
-    def to_dict(self) -> dict:
-        return {"mse": self.mse, "mae": self.mae}
-
 
 @dataclass
 class EpochStats:

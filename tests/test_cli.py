@@ -1,13 +1,17 @@
 """End-to-end CLI runs on miniature configurations."""
 
+import csv
 import json
+import shlex
+import shutil
 import warnings
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crossscalenet.cli import main
+from crossscalenet.cli import _run_names, build_parser, main
 from crossscalenet.model import CrossScaleNet
 
 FAST_TRAIN = ["--lookback", "32", "--horizon", "8", "--scales", "2", "--patch", "8",
@@ -295,6 +299,54 @@ def test_ablation_has_no_seed_flag_or_key(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def _sweep_one(items, out):
+    return run("ablation", "--datasets", ",".join(items), "--variants", "self_attention",
+               "--seeds", "11", *FAST_TRAIN, "--out", out)
+
+
+def _swept_items(out) -> list:
+    with open(out / "ablation.csv", newline="") as fh:
+        return [row["dataset"] for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("form", ["absolute", "relative"])
+def test_ablation_writes_only_under_out(gen_dir, tmp_path, monkeypatch, form):
+    # a run directory was out/runs/<item>_<variant>_<seed>: an absolute CSV
+    # path replaced the whole path, and two ../ climbed out of --out
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    shutil.copy(gen_dir / "SYN1.csv", data_dir / "SYN1.csv")
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    monkeypatch.chdir(work)
+    item = str(data_dir / "SYN1.csv") if form == "absolute" else "../../data/SYN1.csv"
+    out = work / "sweep"
+    before = set(tmp_path.rglob("*"))
+    assert _sweep_one([item], out) == 0
+    written = set(tmp_path.rglob("*")) - before
+    assert written and all(path.is_relative_to(out) for path in written), sorted(written)
+    assert [p.name for p in data_dir.iterdir()] == ["SYN1.csv"]
+    assert (out / "runs" / "SYN1_self_attention_11" / "model.ckpt").exists()
+    assert _swept_items(out) == [item]
+
+
+def test_ablation_csvs_that_share_a_stem_get_their_own_run_directories(gen_dir, tmp_path):
+    items = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        items.append(str(shutil.copy(gen_dir / "SYN1.csv", tmp_path / sub / "SYN1.csv")))
+    out = tmp_path / "sweep"
+    assert _sweep_one(items, out) == 0
+    runs = sorted(p.name for p in (out / "runs").iterdir())
+    assert runs == ["SYN1-2_self_attention_11", "SYN1_self_attention_11"]
+    assert _swept_items(out) == items
+
+
+def test_run_names_take_the_first_free_suffix():
+    items = ("SYN1", "SYN1", "x/SYN1.csv", "/y/SYN1-2.csv", "z/SYN2.csv")
+    assert _run_names(items) == ["SYN1", "SYN1-2", "SYN1-3", "SYN1-2-2", "SYN2"]
+
+
 def test_config_file_merge_flags_win(gen_dir, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"epochs": 1, "hidden": 8, "out": str(tmp_path / "from_file")}))
@@ -560,6 +612,44 @@ def test_malformed_json_file_exits_2_naming_file_and_key(tmp_path, capsys, flag,
     assert run("gen", flag, path, "--samples", "200", "--out", tmp_path / "x") == 2
     assert f"file.json: {message}" in one_error_line(capsys)
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("important_lags", "15", "key 'important_lags': expected a list of integers, got \"15\""),
+    ("n_samples", 400.9, "key 'n_samples': expected an integer, got 400.9"),
+    ("seed", True, "key 'seed': expected an integer, got true"),
+    ("lag_typo", [3], "unknown key 'lag_typo'"),
+    ("name", 5, "key 'name': expected a string, got 5"),
+    ("noise_sigma", True, "key 'noise_sigma': expected a finite number, got true"),
+    ("noise_sigma", float("nan"), "key 'noise_sigma': expected a finite number, got NaN"),
+], ids=["lags_string", "samples_float", "seed_bool", "unknown_key", "name_number", "sigma_bool",
+        "sigma_nan"])
+def test_spec_file_reads_each_field_exactly(tmp_path, capsys, key, value, message):
+    # each was coerced (lags "15" read as [1, 5], 400.9 as 400, true as 1),
+    # or, for an unknown key, ignored; a NaN sigma gave noiseless data and
+    # a sidecar that is not valid JSON
+    spec = {"name": "c", "important_lags": [1, 2], "important_features": [0],
+            "noise_sigma": 0.0, "n_features": 3, "n_samples": 150, "seed": 7}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, key: value}))
+    assert run("gen", "--spec", path, "--lookback", "16", "--out", tmp_path / "x") == 2
+    assert f"spec.json: {message}" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_cli_examples_parse():
+    # a flag the README documents but the parser lost fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("crossscalenet ")]
+    parsed = []
+    for command in commands:
+        try:
+            parsed.append(build_parser().parse_args(shlex.split(command)[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+    assert parsed == ["gen", "train", "explain", "ablation"]
 
 
 def test_config_values_are_read_as_their_flags_read_them(gen_dir, tmp_path):

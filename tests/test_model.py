@@ -374,6 +374,16 @@ def test_nonfinite_input_rejected():
         model.forward(bad)
 
 
+def test_input_edited_to_nan_after_construction_is_rejected_by_the_first_op():
+    # Tensor() scans at construction; an in-place edit after it reaches the
+    # forward's first op, which names itself
+    model = CrossScaleNet(small_config(), seed=10)
+    x = Tensor(np.ones((1, 16, 2)))
+    x.data[0, 3, 1] = np.nan
+    with pytest.raises(NonFiniteError, match="swap_last2"):
+        model.forward(x)
+
+
 def test_wrong_input_shape_rejected():
     model = CrossScaleNet(small_config(), seed=11)
     with pytest.raises(ShapeError):
