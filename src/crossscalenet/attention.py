@@ -17,6 +17,11 @@ path keys on: patch attention with internal keys, the cross-key form with
 a shared external key or two distinct external keys, and plain
 self-attention, which is patch attention over one-step patches with no
 local path. Callers build only the key streams a variant reads.
+
+``cross_patch_attention`` runs a scale's attention as one tape op,
+``tensor.patched_attention``. ``patch_attention`` and ``local_attention``
+are the two paths as chains of single ops: the reference the fused op
+equals bit for bit on OpenBLAS.
 """
 
 from __future__ import annotations
@@ -30,10 +35,9 @@ from .tensor import (
     Tensor,
     matmul,
     mean_axis,
-    patchify,
+    patched_attention,
     reshape,
     softmax_attention,
-    unpatchify,
 )
 
 # variant -> (patch-path key, local-path key): "input" keys on the input
@@ -171,7 +175,7 @@ def cross_patch_attention(
     weights: AttentionWeights,
     scale_index: int = 0,
 ) -> tuple[Tensor, AttentionRecord]:
-    """Combined patch + local attention context for one scale.
+    """Combined patch + local attention context for one scale, as one tape op.
 
     Takes the input and keys channels-first, (B, D, T), like the forward
     pass. The variant's row of ``KEY_SOURCES`` names the stream each path
@@ -179,10 +183,13 @@ def cross_patch_attention(
     self_attention variant) the patches are one time step long and carry
     only the patch context, whatever ``patch_len`` says. The input's
     width D is the model dimension: weights of another width raise
-    ``ShapeError`` in the projection.
+    ``ShapeError``.
 
     Returns the context at input resolution (B, D, T) and the attention
-    record for saliency extraction.
+    record for saliency extraction. ``tensor.patched_attention`` computes
+    both paths; its values and gradients are those of ``patchify``, then
+    ``patch_attention`` and ``local_attention``, their sum and
+    ``unpatchify``, bit for bit.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -190,27 +197,19 @@ def cross_patch_attention(
         raise ValueError(f"patch_len must be >= 1, got {patch_len}")
     if x.ndim != 3:
         raise ShapeError(f"cross_patch_attention expects (B, D, T), got {x.shape}")
-    b, dim, seq_len = x.shape
+    b, _, seq_len = x.shape
 
     streams = {"input": x, "forecast": key_forecast, "seasonal": key_seasonal}
     patch_src, local_src = KEY_SOURCES[variant]
-    patch_len = patch_len if local_src else 1
-    # patchify each distinct stream once, the input first; both paths share
-    # the query patches
-    patches = {}
-    for src in dict.fromkeys(s for s in ("input", patch_src, local_src) if s):
+    for src in filter(None, (patch_src, local_src)):
         if streams[src] is None:
             raise ShapeError(f"{variant} requires the {src} key")
-        _check_aligned(x, streams[src], 3, "cross_patch_attention")
-        patches[src] = patchify(streams[src], patch_len)
-
-    ctx_patch, attn_patch = patch_attention(patches["input"], patches[patch_src], weights)
-    # the patch context broadcasts over each patch's P positions
-    context = reshape(ctx_patch, (b, ctx_patch.shape[1], 1, dim))
-    if local_src:
-        ctx_local, attn_local = local_attention(patches["input"], patches[local_src], weights)
-        context = ctx_local + context
-    else:
+    patch_len = patch_len if local_src else 1
+    projections = [t for _, t in weights.named()][: 6 if local_src else 3]
+    context, attn_patch, attn_local = patched_attention(
+        x, streams[patch_src], streams[local_src] if local_src else None, patch_len, projections
+    )
+    if not local_src:
         attn_local = np.broadcast_to(1.0, (b, seq_len, 1, 1))  # read-only, like the maps
 
     record = AttentionRecord(
@@ -220,4 +219,4 @@ def cross_patch_attention(
         patch_len=patch_len,
         seq_len=seq_len,
     )
-    return unpatchify(context, seq_len), record
+    return context, record

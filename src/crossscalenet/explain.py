@@ -85,6 +85,41 @@ def aggregate_saliency(records: list[AttentionRecord], lookback: int) -> Salienc
     return SaliencyVector(acc)
 
 
+def _chunk_passes(model: CrossScaleNet, windows: np.ndarray, batch_size: int | None = None):
+    """Tape-free forwards over chunks of ``model.chunk_size(batch_size)`` windows.
+
+    Yields each chunk's forecast array and its records with B = 1, the
+    attention summed over the chunk's windows. A chunk's own maps are
+    dropped before the next forward, so memory is bounded by one chunk.
+    """
+    size = model.chunk_size(batch_size)
+    for lo in range(0, len(windows), size):
+        with suspend_tape():
+            forecast, records = model.forward(Tensor(windows[lo : lo + size]))
+        sums = [
+            replace(r, patch_weights=r.patch_weights.sum(axis=0, keepdims=True),
+                    local_weights=r.local_weights.sum(axis=0, keepdims=True))
+            for r in records
+        ]
+        del records
+        yield forecast.data, sums
+
+
+def _mean_records(chunk_sums, n_windows: int) -> list[AttentionRecord]:
+    """Per-scale means over all windows from the chunks' summed records, in chunk order."""
+    totals: dict[int, AttentionRecord] = {}
+    for sums in chunk_sums:
+        for part in sums:
+            total = totals.setdefault(part.scale_index, part)
+            if total is not part:
+                total.patch_weights += part.patch_weights
+                total.local_weights += part.local_weights
+    for total in totals.values():
+        total.patch_weights /= n_windows
+        total.local_weights /= n_windows
+    return [totals[k] for k in sorted(totals)]
+
+
 def collect_records(
     model: CrossScaleNet,
     windows: np.ndarray,
@@ -100,26 +135,7 @@ def collect_records(
     is row-stochastic, so the records still ``validate()``. No windows give
     no records.
     """
-    batch_size = model.chunk_size(batch_size)
-    totals: dict[int, AttentionRecord] = {}
-    with suspend_tape():
-        for lo in range(0, len(windows), batch_size):
-            # the comprehension's scope ends with it, so no name keeps this
-            # batch's outputs alive through the next forward
-            sums = [
-                replace(r, patch_weights=r.patch_weights.sum(axis=0, keepdims=True),
-                        local_weights=r.local_weights.sum(axis=0, keepdims=True))
-                for r in model.forward(Tensor(windows[lo : lo + batch_size]))[1]
-            ]
-            for part in sums:
-                total = totals.setdefault(part.scale_index, part)
-                if total is not part:
-                    total.patch_weights += part.patch_weights
-                    total.local_weights += part.local_weights
-    for total in totals.values():
-        total.patch_weights /= len(windows)
-        total.local_weights /= len(windows)
-    return [totals[k] for k in sorted(totals)]
+    return _mean_records((sums for _, sums in _chunk_passes(model, windows, batch_size)), len(windows))
 
 
 def model_saliency(model: CrossScaleNet, dataset: WindowDataset) -> SaliencyVector:
@@ -234,14 +250,26 @@ class _SplitErrors:
         self.model = model
         self.dataset = dataset
         self.x, self.y = dataset.windows("test")
+        if len(self.x) == 0:
+            raise ValueError("split 'test' is empty")
+
+    def _error(self, preds: np.ndarray) -> float:
+        return compute_metrics(preds[..., self.dataset.target_columns], self.y).mse
 
     def mse(self, x: np.ndarray) -> float:
-        preds = self.model.predict(x)[..., self.dataset.target_columns]
-        return compute_metrics(preds, self.y).mse
+        return self._error(self.model.predict(x))
 
     @cached_property
+    def intact(self) -> tuple[list[AttentionRecord], float]:
+        """The mean attention records (as ``collect_records`` gives them) and
+        the error of the intact windows, from one tape-free pass."""
+        passes = list(_chunk_passes(self.model, self.x))
+        records = _mean_records((sums for _, sums in passes), len(self.x))
+        return records, self._error(np.concatenate([forecast for forecast, _ in passes]))
+
+    @property
     def full(self) -> float:
-        return self.mse(self.x)
+        return self.intact[1]
 
     @cached_property
     def blank(self) -> float:
@@ -438,14 +466,14 @@ def build_report(
     _check_positive("n_windows", ig_windows)
     if truth is not None and truth.mask.shape[0] != dataset.lookback:
         raise ValueError(f"truth mask lookback {truth.mask.shape[0]} != dataset lookback {dataset.lookback}")
-    if dataset.n_windows("test") == 0:
-        raise ValueError("split 'test' is empty")
-    saliency = model_saliency(model, dataset)
+    errors = _SplitErrors(model, dataset)
+    # the attention saliency of model_saliency, from the pass that also
+    # gives the intact error
+    saliency = aggregate_saliency(errors.intact[0], dataset.lookback)
     attribution = ig_attribution_map(model, dataset, steps=ig_steps, n_windows=ig_windows)
 
     names = dataset.column_names
     candidates = [c for c in range(dataset.n_columns) if c not in dataset.target_columns]
-    errors = _SplitErrors(model, dataset)
     ablation_scores = errors.ablation(candidates)
     ig_per_channel = attribution.mean(axis=0)
 

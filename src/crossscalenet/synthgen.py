@@ -83,8 +83,8 @@ class SynthSpec:
         object.__setattr__(self, "important_features", tuple(sorted(set(int(v) for v in self.important_features))))
         if any(lag < 1 for lag in self.important_lags):
             raise ValueError("lags must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if any(not 0 <= j < self.n_features for j in self.important_features):
             raise ValueError("important_features must index into 0..n_features-1")
         if self.n_features < 1 or self.n_samples < 1:

@@ -2,8 +2,9 @@
 
 The numeric layer is deliberately small: it provides exactly the dense
 operations the forecaster needs (batched matmul, pointwise arithmetic,
-stable softmax/sigmoid, time-axis resampling, patch extraction, and two
-fused ops: scaled dot-product attention in cache-sized tiles and the
+stable softmax/sigmoid, time-axis resampling, patch extraction, and
+three fused ops: scaled dot-product attention in cache-sized tiles, a
+scale's whole cross-patch attention built on the same tiles, and the
 encoder's MLP with channel mixing) plus a define-by-run gradient tape
 that is rebuilt for every forward/backward pass. Arrays are row-major
 float64 throughout. Broadcasting is limited to numpy's trailing-extent
@@ -299,9 +300,33 @@ def matmul(a, b) -> Tensor:
 # nonlinearities
 
 
+# Rows up to this long take their max by strided pairwise ``np.maximum``:
+# numpy's reduction pays a per-row cost that dominates short rows, and the
+# passes of the pairwise form cost more on long ones. On an Intel Xeon,
+# over (B, L, L) stacks at B = 32 and 73, pairwise took 0.2-0.6 of the
+# reduction's time up to L = 64, 0.75-0.9 at L = 72 and 1.35-1.55 at
+# L = 84 and 168 (the self-attention rows at lookback 336).
+_SHORT_ROW = 64
+
+
+def _row_max(s: np.ndarray) -> np.ndarray:
+    """``s.max(axis=-1, keepdims=True)``: max is exact in any order, so short
+    rows halve by strided pairs, an odd last column folding into the first."""
+    if s.shape[-1] > _SHORT_ROW:
+        return s.max(axis=-1, keepdims=True)
+    m = s
+    while m.shape[-1] > 1:
+        n = m.shape[-1]
+        top = np.maximum(m[..., 0 : n - 1 : 2], m[..., 1::2])
+        if n % 2:
+            np.maximum(top[..., :1], m[..., -1:], out=top[..., :1])
+        m = top
+    return m
+
+
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
     """Row-stable softmax along the last axis, in place on ``s`` (max-subtraction)."""
-    s -= s.max(axis=-1, keepdims=True)
+    s -= _row_max(s)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s
@@ -331,15 +356,55 @@ def softmax_lastdim(x) -> Tensor:
 _TILE_BYTES = 1 << 20
 
 
+def _attention_tiles(qd, kt, vd, scale: float, batch: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax_attention``'s forward on arrays: the context and the read-only weights.
+
+    Takes q (..., Tq, D), the contiguous k^T (..., D, Tk) and v (..., Tk,
+    Dv), whose batch extents broadcast to ``batch``. Walks the leading batch
+    axis in tiles of at most ``_TILE_BYTES`` of weights, each scored,
+    scaled, scanned for NaN/Inf, normalized in place and multiplied by v
+    while in cache.
+    """
+    w = np.empty((*batch, qd.shape[-2], kt.shape[-1]))
+    context = np.empty((*batch, qd.shape[-2], vd.shape[-1]))
+    lead = batch or (1,)  # a 2-d call is one tile
+    qb, ktb, vb = (np.broadcast_to(a, (*lead, *a.shape[-2:])) for a in (qd, kt, vd))
+    wb, cb = w.reshape(*lead, *w.shape[-2:]), context.reshape(*lead, *context.shape[-2:])
+    step = max(1, _TILE_BYTES // max(1, wb[:1].nbytes))
+    for lo in range(0, lead[0], step):
+        tile = slice(lo, lo + step)
+        s = np.matmul(qb[tile], ktb[tile], out=wb[tile])
+        s *= scale
+        # scores only: exp(-inf) = 0 would hide a -inf score, and finite
+        # scores give weights in [0, 1] (each row's max adds exp(0) = 1)
+        _check_finite(s, "softmax_attention scores")
+        np.matmul(_softmax_rows(s), vb[tile], out=cb[tile])
+    w.setflags(write=False)
+    return context, w
+
+
+def _attention_grads(g, qd, kt, vd, w, scale: float, want_q=True, want_k=True, want_v=True):
+    """The gradients of ``_attention_tiles``'s context for q, k and v at the
+    batch shape (None where not wanted); the caller unbroadcasts them."""
+    gq = gk = gv = None
+    if want_q or want_k:
+        gs = _softmax_grad(np.matmul(g, np.swapaxes(vd, -1, -2)), w) * scale
+        if want_q:
+            gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+        if want_k:
+            gk = np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2)
+    if want_v:
+        gv = np.matmul(np.swapaxes(w, -1, -2), g)
+    return gq, gk, gv
+
+
 def softmax_attention(q, k, v, scale: float) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention ``softmax(q @ k^T * scale) @ v`` as one tape op.
 
     Takes q (..., Tq, D), k (..., Tk, D) and v (..., Tk, Dv) with batch
     extents as in ``matmul``. Returns the context (..., Tq, Dv) and the
     (..., Tq, Tk) weights as a read-only ndarray, which the backward rule
-    also reads. The forward walks the leading batch axis in tiles of at
-    most ``_TILE_BYTES`` of weights, each scored, scaled, scanned for
-    NaN/Inf, normalized in place and multiplied by v while in cache.
+    also reads. The forward runs in cache-sized tiles (``_attention_tiles``).
     Values and gradients equal those of the chain ``matmul(q,
     swap_last2(k)) * scale -> softmax_lastdim -> matmul(., v)`` bit for
     bit: each batch matrix takes that chain's numpy calls, in its order.
@@ -355,33 +420,11 @@ def softmax_attention(q, k, v, scale: float) -> tuple[Tensor, np.ndarray]:
         raise ShapeError(f"softmax_attention batch extents do not broadcast: {q.shape}, {k.shape}, {v.shape}") from exc
     qd, vd = q.data, v.data
     kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    w = np.empty((*batch, q.shape[-2], k.shape[-2]))
-    context = np.empty((*batch, q.shape[-2], v.shape[-1]))
-    lead = batch or (1,)  # a 2-d call is one tile
-    qb, ktb, vb = (np.broadcast_to(a, (*lead, *a.shape[-2:])) for a in (qd, kt, vd))
-    wb, cb = w.reshape(*lead, *w.shape[-2:]), context.reshape(*lead, *context.shape[-2:])
-    step = max(1, _TILE_BYTES // max(1, wb[:1].nbytes))
-    for lo in range(0, lead[0], step):
-        tile = slice(lo, lo + step)
-        s = np.matmul(qb[tile], ktb[tile], out=wb[tile])
-        s *= scale
-        # scores only: exp(-inf) = 0 would hide a -inf score, and finite
-        # scores give weights in [0, 1] (each row's max adds exp(0) = 1)
-        _check_finite(s, "softmax_attention scores")
-        np.matmul(_softmax_rows(s), vb[tile], out=cb[tile])
-    w.setflags(write=False)
+    context, w = _attention_tiles(qd, kt, vd, scale, batch)
 
     def rule(g: np.ndarray):
-        gq = gk = gv = None
-        if q.requires_grad or k.requires_grad:
-            gs = _softmax_grad(np.matmul(g, np.swapaxes(vd, -1, -2)), w) * scale
-            if q.requires_grad:
-                gq = _unbroadcast(np.matmul(gs, np.swapaxes(kt, -1, -2)), q.shape)
-            if k.requires_grad:
-                gk = _unbroadcast(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2), k.shape)
-        if v.requires_grad:
-            gv = _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape)
-        return (gq, gk, gv)
+        grads = _attention_grads(g, qd, kt, vd, w, scale, q.requires_grad, k.requires_grad, v.requires_grad)
+        return tuple(None if a is None else _unbroadcast(a, t.shape) for a, t in zip(grads, (q, k, v)))
 
     return _op(context, (q, k, v), "softmax_attention", rule), w
 
@@ -689,6 +732,40 @@ def linear_interp(x, new_len: int) -> Tensor:
 # patch extraction
 
 
+def _patches(xd: np.ndarray, p: int) -> np.ndarray:
+    """(B, D, T) -> contiguous (B, N, P, D) patches, right-padded by the final time step."""
+    b, d, t = xd.shape
+    n = -(-t // p)
+    if n * p > t:
+        xd = np.concatenate([xd, np.repeat(xd[:, :, -1:], n * p - t, axis=2)], axis=2)
+    return np.ascontiguousarray(np.swapaxes(xd, 1, 2).reshape(b, n, p, d))
+
+
+def _patches_grad(g: np.ndarray, t: int) -> np.ndarray:
+    """The (B, D, T) gradient of ``_patches`` from its (B, N, P, D) one:
+    each padded step's gradient adds to the final time step."""
+    b, n, p, d = g.shape
+    flat = g.reshape(b, n * p, d)
+    gx = np.swapaxes(flat[:, :t, :], 1, 2).copy()
+    if n * p > t:
+        gx[:, :, -1] += flat[:, t:, :].sum(axis=1)
+    return gx
+
+
+def _unpatch(xd: np.ndarray, t: int) -> np.ndarray:
+    """(B, N, P, D) -> (B, D, t), dropping the padding (a view)."""
+    b, n, p, d = xd.shape
+    return np.swapaxes(xd.reshape(b, n * p, d)[:, :t, :], 1, 2)
+
+
+def _unpatch_grad(g: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
+    """The (B, N, P, D) gradient of ``_unpatch`` from its (B, D, t) one, zero on the padding."""
+    b, n, p, d = shape
+    gx = np.zeros((b, n * p, d))
+    gx[:, : g.shape[-1], :] = np.swapaxes(g, 1, 2)
+    return gx.reshape(shape)
+
+
 def patchify(x, patch_len: int) -> Tensor:
     """Split channels-first (B, D, T) into (B, N, P, D) patches of P time steps.
 
@@ -700,22 +777,8 @@ def patchify(x, patch_len: int) -> Tensor:
         raise ShapeError(f"patchify expects (B, D, T), got {x.shape}")
     if patch_len < 1:
         raise ShapeError(f"patchify: patch_len must be >= 1, got {patch_len}")
-    b, d, t = x.shape
-    p = int(patch_len)
-    n = -(-t // p)
-    pad = n * p - t
-    padded = x.data
-    if pad:
-        padded = np.concatenate([padded, np.repeat(padded[:, :, -1:], pad, axis=2)], axis=2)
-
-    def rule(g: np.ndarray):
-        flat = g.reshape(b, n * p, d)
-        gx = np.swapaxes(flat[:, :t, :], 1, 2).copy()
-        if pad:
-            gx[:, :, -1] += flat[:, t:, :].sum(axis=1)
-        return (gx,)
-
-    return _op(np.swapaxes(padded, 1, 2).reshape(b, n, p, d), (x,), "patchify", rule)
+    t = x.shape[-1]
+    return _op(_patches(x.data, int(patch_len)), (x,), "patchify", lambda g: (_patches_grad(g, t),))
 
 
 def unpatchify(x, seq_len: int) -> Tensor:
@@ -726,13 +789,164 @@ def unpatchify(x, seq_len: int) -> Tensor:
     b, n, p, d = x.shape
     if not 1 <= seq_len <= n * p:
         raise ShapeError(f"unpatchify: seq_len {seq_len} invalid for {n}x{p} patches")
+    return _op(_unpatch(x.data, seq_len), (x,), "unpatchify", lambda g: (_unpatch_grad(g, x.shape),))
+
+
+# ---------------------------------------------------------------------------
+# cross-patch attention
+
+
+def _patch_means(patches: np.ndarray) -> np.ndarray:
+    """(B, N, P, D) -> (B, N, D) means over P: ``patches.mean(axis=2)`` bit
+    for bit on contiguous patches, whose P rows numpy adds in order before
+    one divide, without its reduction's per-row cost."""
+    acc = patches[:, :, 0].copy()
+    for i in range(1, patches.shape[2]):
+        acc += patches[:, :, i]
+    acc /= patches.shape[2]
+    return acc
+
+
+def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``np.matmul(x, w)`` for an (..., M, D) stack and a (D, E) matrix.
+
+    Runs as one 2-d product over the stack's rows, about twice as fast,
+    which gives the batched product's bytes on OpenBLAS (the tests check
+    it). One-row matrices keep the batched call: numpy gives them a
+    vector-matrix kernel that rounds differently.
+    """
+    if x.shape[-2] == 1:
+        return np.matmul(x, w)
+    return np.matmul(x.reshape(-1, x.shape[-1]), w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def _attention_path(queries: np.ndarray, keys: np.ndarray, projections, scale: float):
+    """One path of ``patched_attention``: project queries, keys and values
+    (the values from the queries) and attend. Returns the context, the
+    read-only weights and the projected (q, k^T, v) the backward reads."""
+    w_query, w_key, w_value = projections
+    q, v = _project(queries, w_query), _project(queries, w_value)
+    kt = np.ascontiguousarray(np.swapaxes(_project(keys, w_key), -1, -2))
+    context, w = _attention_tiles(q, kt, v, scale, queries.shape[:-2])
+    return context, w, (q, kt, v)
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of ``np.matmul(a, w)`` for a (D, E) w, summed over the
+    batch as ``matmul``'s rule sums it."""
+    return _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), (a.shape[-1], g.shape[-1]))
+
+
+def patched_attention(
+    x, key_patch, key_local, patch_len: int, weights: Sequence
+) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
+    """Cross-patch attention over channels-first streams as one tape op.
+
+    Takes the input x (B, D, T), the patch path's key stream, the local
+    path's key stream or None (no local path), the patch length P and the
+    (D, D) projections ``w_query, w_key, w_value`` then, with a local path,
+    ``w_local_query, w_local_key, w_local_value``. Either key may be x or
+    the other key itself. Returns the context (B, D, T), the (B, N, N)
+    patch weights and the (B, N, P, P) local weights (None without a local
+    path), both read-only.
+
+    The patch path mean-pools each stream's patches, projects the pooled
+    input to queries and values and the pooled key stream to keys, and
+    attends across patches; its context broadcasts over each patch's P
+    steps. The local path attends among the P steps of each patch, queries
+    and values from the input's patches, keys from the local key's.
+
+    Values and gradients equal those of the chain ``patchify`` ->
+    ``mean_axis`` and ``matmul`` -> ``softmax_attention`` -> ``reshape``
+    -> ``add`` -> ``unpatchify`` (``attention.patch_attention`` and
+    ``attention.local_attention``) bit for bit, on OpenBLAS (see
+    ``_project``). The forward makes the
+    chain's numpy calls but for three layout changes that keep every
+    byte: the projections run over rows as one 2-d product
+    (``_project``), short softmax rows take their max by pairs
+    (``_row_max``) and the patch means add rows in order
+    (``_patch_means``). The backward repeats the chain's rules in reverse,
+    its input-gradient products also over rows, and sums a stream's
+    fan-out in the tape's order. Non-finite values reach the scanned
+    scores or the output.
+    """
+    x, key_patch = _as_tensor(x), _as_tensor(key_patch)
+    local = key_local is not None
+    key_local = _as_tensor(key_local) if local else None
+    ws = tuple(_as_tensor(w) for w in weights)
+    if x.ndim != 3:
+        raise ShapeError(f"patched_attention expects (B, D, T), got {x.shape}")
+    if patch_len < 1:
+        raise ShapeError(f"patched_attention: patch_len must be >= 1, got {patch_len}")
+    b, d, t = x.shape
+    if len(ws) != (6 if local else 3) or any(w.shape != (d, d) for w in ws):
+        raise ShapeError(f"patched_attention: projections {[w.shape for w in ws]} for input width {d}")
+    # each distinct stream once, the input first, as the chain patchifies them
+    streams = list({id(s): s for s in (x, key_patch, key_local) if s is not None}.values())
+    for s in streams[1:]:
+        if s.shape != x.shape:
+            raise ShapeError(f"patched_attention: key {s.shape} and input {x.shape} differ")
+    p = int(patch_len)
+    patches = {id(s): _patches(s.data, p) for s in streams}
+    n = patches[id(x)].shape[1]
+    scale = 1.0 / np.sqrt(d)
+    wd = [w.data for w in ws]
+
+    px = patches[id(x)]
+    pooled_q = _patch_means(px)
+    pooled_k = pooled_q if key_patch is x else _patch_means(patches[id(key_patch)])
+    context, w_patch, patch_saved = _attention_path(pooled_q, pooled_k, wd[:3], scale)
+    context = context.reshape(b, n, 1, d)
+    w_local = local_saved = None
+    if local:
+        flat_q = px.reshape(b * n, p, d)
+        flat_k = patches[id(key_local)].reshape(b * n, p, d)
+        ctx_local, w_flat, local_saved = _attention_path(flat_q, flat_k, wd[3:], scale)
+        ctx_local = ctx_local.reshape(b, n, p, d)
+        ctx_local += context
+        context = ctx_local
+        w_local = w_flat.reshape(b, n, p, p)
+    inputs = (*streams, *ws)
+    if active_tape() is None or not any(t.requires_grad for t in inputs):
+        # no backward: drop the projections before the output copy, as the
+        # chain's ops did; kept, they raised the peak RSS of tape-free
+        # inference at lookback 336 by about 0.7 MB
+        patch_saved = local_saved = None
 
     def rule(g: np.ndarray):
-        gx = np.zeros((b, n * p, d))
-        gx[:, :seq_len, :] = np.swapaxes(g, 1, 2)
-        return (gx.reshape(b, n, p, d),)
+        # per stream, its patches' gradient contributions in the tape's order
+        parts: dict[int, list[np.ndarray]] = {id(s): [] for s in streams}
+        gc = _unpatch_grad(g, (b, n, p, d))
+        products = []  # (input, output gradient) of each projection, for its weight
+        if local:
+            gcp = _unbroadcast(gc, (b, n, 1, d)).reshape(b, n, d)
+            glq, glk, glv = _attention_grads(gc.reshape(b * n, p, d), *local_saved, w_flat, scale)
+            products = [(flat_q, glq), (flat_k, glk), (flat_q, glv)]
+            if key_local.requires_grad:
+                parts[id(key_local)].append(_project(glk, wd[4].T).reshape(b, n, p, d))
+            if x.requires_grad:
+                parts[id(x)].append((_project(glv, wd[5].T) + _project(glq, wd[3].T)).reshape(b, n, p, d))
+        else:
+            gcp = gc.reshape(b, n, d)
+        gq, gk, gv = _attention_grads(gcp, *patch_saved, w_patch, scale)
+        products = [(pooled_q, gq), (pooled_k, gk), (pooled_q, gv), *products]
+        gpk = _project(gk, wd[1].T) if key_patch.requires_grad else None
+        if x.requires_grad:
+            gpq = _project(gv, wd[2].T)
+            if key_patch is x:  # the pooled input feeds q, k and v
+                gpq = gpq + gpk
+            gpq = gpq + _project(gq, wd[0].T)
+            parts[id(x)].append(np.broadcast_to(np.expand_dims(gpq / p, 2), px.shape))
+        if key_patch is not x and key_patch.requires_grad:
+            parts[id(key_patch)].append(np.broadcast_to(np.expand_dims(gpk / p, 2), px.shape))
+        # sum(rest, first) adds left to right, as the tape accumulates
+        g_streams = [_patches_grad(sum(parts[id(s)][1:], parts[id(s)][0]), t) if s.requires_grad else None
+                     for s in streams]
+        g_weights = [_weight_grad(a, ga) if w.requires_grad else None for (a, ga), w in zip(products, ws)]
+        return (*g_streams, *g_weights)
 
-    return _op(np.swapaxes(x.data.reshape(b, n * p, d)[:, :seq_len, :], 1, 2), (x,), "unpatchify", rule)
+    out = _op(_unpatch(context, t), inputs, "patched_attention", rule)
+    return out, w_patch, w_local
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_criterion_1_autodiff(capfd):
     # every differentiable op at tol 1e-4
     from crossscalenet.tensor import (
         avg_downsample, concat, div, encoder_mlp, gelu, linear_interp, matmul, mean_axis,
-        moving_average, patchify, reshape, sigmoid, sqrt, swap_last2,
+        moving_average, patched_attention, patchify, reshape, sigmoid, sqrt, swap_last2,
         take_lastdim, unpatchify, broadcast_to,
     )
 
@@ -130,6 +130,24 @@ def test_criterion_1_autodiff(capfd):
         rep = grad_check(fn, rng.uniform(-2, 2, shape), eps=1e-5, tol=1e-4)
         worst_op = max(worst_op, rep.max_rel_error)
         assert rep.passed, f"{op_name}: {rep}"
+
+    # the fused attention of every variant, over its input: 7 steps in
+    # patches of 3, so the last patch pads. Its own generator leaves the
+    # draws of the model check below as they were.
+    fused_rng = np.random.default_rng(1)
+    k1, k2, w227 = (Tensor(fused_rng.uniform(-1, 1, (2, 2, 7))) for _ in range(3))
+    proj = [Tensor(fused_rng.uniform(-1, 1, (2, 2))) for _ in range(6)]
+    patched = {
+        "self_attention": lambda x: patched_attention(x, x, None, 1, proj[:3]),
+        "patch_attention": lambda x: patched_attention(x, x, x, 3, proj),
+        "cross_shared_key": lambda x: patched_attention(x, k1, k1, 3, proj),
+        "cross_dual_key": lambda x: patched_attention(x, k1, k2, 3, proj),
+    }
+    for variant, op in patched.items():
+        rep = grad_check(lambda x: sum_all(mul(op(x)[0], w227)), fused_rng.uniform(-2, 2, (2, 2, 7)),
+                         eps=1e-5, tol=1e-4)
+        worst_op = max(worst_op, rep.max_rel_error)
+        assert rep.passed, f"patched_attention[{variant}]: {rep}"
 
     # full model: every parameter tensor against central differences
     cfg = ModelConfig(lookback=16, horizon=4, n_features=2, n_scales=2, patch_len=4,

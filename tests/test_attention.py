@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crossscalenet.attention import (
+    KEY_SOURCES,
     VARIANTS,
     AttentionRecord,
     AttentionWeights,
@@ -13,7 +14,7 @@ from crossscalenet.attention import (
     local_attention,
     patch_attention,
 )
-from crossscalenet.tensor import ShapeError, Tape, Tensor, grad_check, patchify, sum_all
+from crossscalenet.tensor import ShapeError, Tape, Tensor, grad_check, mul, patchify, reshape, sum_all, unpatchify
 
 RNG = np.random.default_rng(11)
 
@@ -43,6 +44,27 @@ def attend(x, key_forecast, key_seasonal, variant, p, w):
 def identity_weights(dim):
     eye = np.eye(dim)
     return AttentionWeights(*(Tensor(eye.copy()) for _ in range(6)))
+
+
+def unfused_cross_patch_attention(x, key_forecast, key_seasonal, variant, patch_len, weights, scale_index=0):
+    """``cross_patch_attention`` as the chain of tape ops the fused op replaces:
+    patchify each distinct stream once (the input first), the two paths,
+    their sum and unpatchify."""
+    b, _, seq_len = x.shape
+    streams = {"input": x, "forecast": key_forecast, "seasonal": key_seasonal}
+    patch_src, local_src = KEY_SOURCES[variant]
+    patch_len = patch_len if local_src else 1
+    patches = {src: patchify(streams[src], patch_len)
+               for src in dict.fromkeys(s for s in ("input", patch_src, local_src) if s)}
+    ctx_patch, attn_patch = patch_attention(patches["input"], patches[patch_src], weights)
+    context = reshape(ctx_patch, (b, ctx_patch.shape[1], 1, x.shape[1]))
+    if local_src:
+        ctx_local, attn_local = local_attention(patches["input"], patches[local_src], weights)
+        context = ctx_local + context
+    else:
+        attn_local = np.broadcast_to(1.0, (b, seq_len, 1, 1))
+    record = AttentionRecord(attn_patch, attn_local, scale_index, patch_len, seq_len)
+    return unpatchify(context, seq_len), record
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +309,68 @@ def test_batch_permutation_equivariance():
     ctx, _ = attend(x, k1, k2, "cross_dual_key", 2, w)
     ctx_p, _ = attend(x[perm], k1[perm], k2[perm], "cross_dual_key", 2, w)
     assert np.allclose(ctx[perm], ctx_p, atol=1e-12)
+
+
+def same_bytes(a, b) -> bool:
+    """Equal shape, dtype and bytes: unlike array_equal, -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def fused_and_unfused(variant, shape, p, x_grad, seed=30):
+    """Context, record arrays and every gradient from the fused op and the
+    unfused chain on the same (B, T, D) inputs, a weighted sum as the loss."""
+    rng = np.random.default_rng(seed)
+    x, k1, k2 = (np.swapaxes(rng.normal(size=shape), 1, 2) for _ in range(3))
+    w_out = Tensor(rng.normal(size=x.shape))
+    runs = []
+    for op in (cross_patch_attention, unfused_cross_patch_attention):
+        w = make_weights(shape[2], np.random.default_rng(seed + 1))
+        for _, t in w.named():
+            t.requires_grad = True
+        xt = Tensor(x, requires_grad=x_grad)
+        keys = [Tensor(k, requires_grad=True) for k in (k1, k2)]
+        with Tape() as tape:
+            ctx, record = op(xt, *keys, variant, p, w)
+            tape.backward(sum_all(mul(ctx, w_out)))
+        grads = [t.grad for t in (xt, *keys) if t.requires_grad] + [t.grad for _, t in w.named()]
+        runs.append([ctx.data, record.patch_weights, record.local_weights, *grads])
+    return runs
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
+@pytest.mark.parametrize(
+    "shape,p",
+    [((3, 16, 2), 4), ((2, 21, 3), 4), ((2, 5, 3), 8), ((2, 6, 3), 1), ((32, 48, 7), 16), ((5, 24, 7), 16)],
+    ids=["exact", "padded", "one_patch", "one_step", "scale2", "scale3_padded"],
+)
+def test_fused_op_is_bit_identical_to_unfused_chain(variant, x_grad, shape, p):
+    fused, chain = fused_and_unfused(variant, shape, p, x_grad)
+    assert len(fused) == len(chain)
+    for i, (a, b) in enumerate(zip(fused, chain)):
+        assert same_bytes(a, b), f"output {i} differs"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fused_op_input_gradients_pass_grad_check_with_padding(variant):
+    # the input-gradient path IG takes: T = 7 is not a multiple of P = 3,
+    # so the padded steps' gradients fold into the last time step
+    rng = np.random.default_rng(31)
+    b, t, p, d = 2, 7, 3, 2
+    keys = [channels_first(rng.normal(size=(b, t, d))) for _ in range(2)]
+    w = make_weights(d, rng)
+    w_out = Tensor(rng.normal(size=(b, d, t)))
+    start = np.swapaxes(rng.normal(size=(b, t, d)), 1, 2)
+    reads = {"input", *KEY_SOURCES[variant]}
+    for i in [i for i, src in enumerate(("input", "forecast", "seasonal")) if src in reads]:
+        def f(v, _i=i):
+            streams = [Tensor(start), *keys]
+            streams[_i] = v
+            return sum_all(mul(cross_patch_attention(*streams, variant, p, w)[0], w_out))
+
+        report = grad_check(f, start if i == 0 else keys[i - 1].data, tol=1e-4)
+        assert report.passed, f"stream {i}: {report}"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -440,6 +440,15 @@ def test_diverged_training_exits_2(gen_dir, tmp_path, capsys):
     assert "epoch 0" in line and "lr=1e+200" in line
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+def test_non_finite_or_zero_learning_rate_exits_2_before_training(gen_dir, tmp_path, capsys, rate):
+    # --lr nan used to train a batch, then report a numeric blowup in matmul
+    assert run("train", "--data", gen_dir / "SYN1.csv", *FAST_TRAIN, "--lr", rate,
+               "--out", tmp_path / "x") == 2
+    assert "learning_rate must be finite and > 0" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
 def test_diverged_training_leaves_no_out_directory(gen_dir, tmp_path, capsys):
     # the directory used to be made before training, so it was left empty
     assert run("train", "--data", gen_dir / "SYN1.csv", *FAST_TRAIN, "--lr", "1e200",

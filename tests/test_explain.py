@@ -520,6 +520,7 @@ def test_build_report_and_files(tmp_path, trained_setup):
 def test_build_report_shares_baselines_and_tapes(monkeypatch, trained_setup):
     model, ds = trained_setup
     calls = {"predict": 0, "backward": 0}
+    forwarded = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -528,13 +529,22 @@ def test_build_report_shares_baselines_and_tapes(monkeypatch, trained_setup):
 
         return wrapper
 
+    def forward(self, x):
+        forwarded.append(len(x.data))
+        return original_forward(self, x)
+
+    original_forward = CrossScaleNet.forward
     monkeypatch.setattr(CrossScaleNet, "predict", counted("predict", CrossScaleNet.predict))
+    monkeypatch.setattr(CrossScaleNet, "forward", forward)
     monkeypatch.setattr(Tape, "backward", counted("backward", Tape.backward))
     report = build_report(model, ds)
     monkeypatch.undo()
 
-    # 1 intact + 1 blank + 3 keep + 3 remove + 6 ablated channels; one tape per IG window
-    assert calls == {"predict": 14, "backward": 16}
+    # 1 blank + 3 keep + 3 remove + 6 ablated channels; one tape per IG window
+    assert calls == {"predict": 13, "backward": 16}
+    # the intact test windows go through the model once, for both the
+    # attention records and the intact error; IG adds 16 windows x 64 steps
+    assert sum(forwarded) == 14 * ds.n_windows("test") + 16 * 64
     for r in report.ratios:
         assert report.sufficiency[r] == sufficiency(model, ds, report.saliency, r)
         assert report.comprehensiveness[r] == comprehensiveness(model, ds, report.saliency, r)
@@ -552,13 +562,19 @@ def test_report_without_truth_has_no_agreement(trained_setup):
 
 def test_build_report_names_an_empty_split():
     # without the split check, collect_records of zero windows gives no
-    # records and the error blames the scale count instead
+    # records and the error blames the scale count instead, and the split
+    # scores give NaN under a run of numpy RuntimeWarnings
     data = np.random.default_rng(0).standard_normal((40, 3))
     ds = make_windows(data, 16, 4, split_fractions=(1.0, 0.0, 0.0))
     model = CrossScaleNet(ModelConfig(lookback=16, horizon=4, n_features=3, n_scales=2, patch_len=4,
                                       decomp_kernel=5))
-    with pytest.raises(ValueError, match="split 'test' is empty"):
-        build_report(model, ds)
+    saliency = SaliencyVector(np.ones(16))
+    for run in (lambda: build_report(model, ds),
+                lambda: sufficiency(model, ds, saliency, 0.5),
+                lambda: comprehensiveness(model, ds, saliency, 0.5),
+                lambda: feature_ablation(model, ds)):
+        with pytest.raises(ValueError, match="split 'test' is empty"):
+            run()
 
 
 def test_ig_attribution_map_rejects_fewer_than_one_window(trained_setup):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crossscalenet.attention import VARIANTS
+import crossscalenet.model as model_mod
 from crossscalenet.model import (
     CrossScaleNet,
     CrossScaleNetParams,
@@ -28,11 +29,19 @@ from crossscalenet.tensor import (
     Tensor,
     grad_check,
     mean_all,
+    mul,
     sum_all,
     suspend_tape,
 )
+from crossscalenet.train import mse_loss
 
-from test_attention import channels_first, ref_cross_patch, weights_as_dict
+from test_attention import (
+    channels_first,
+    ref_cross_patch,
+    same_bytes,
+    unfused_cross_patch_attention,
+    weights_as_dict,
+)
 
 RNG = np.random.default_rng(23)
 
@@ -484,14 +493,14 @@ def test_model_gradients_pass_grad_check():
 # limits. Only the key streams a variant reads are resampled (forecast
 # and seasonal: 2 each over scales 2 and 3); the only transposes are the
 # forward's entry and exit, since attention takes the channels-first
-# layout. Self-attention patchifies only its input, into one-step
-# patches. Each attention path is one fused softmax_attention op over
-# scales 2 and 3, and each of the six encoders one encoder_mlp op.
+# layout. Each coarse scale's attention is one fused patched_attention
+# op, which patchifies inside, and each of the six encoders one
+# encoder_mlp op.
 OP_LIMITS = {
-    "self_attention": (0, 2, 2, 60),
-    "patch_attention": (0, 2, 2, 76),
-    "cross_shared_key": (2, 2, 4, 82),
-    "cross_dual_key": (4, 2, 6, 86),
+    "self_attention": (0, 2, 0, 46),
+    "patch_attention": (0, 2, 0, 46),
+    "cross_shared_key": (2, 2, 0, 48),
+    "cross_dual_key": (4, 2, 0, 50),
 }
 
 
@@ -522,6 +531,43 @@ def test_forward_op_counts_at_acceptance_config(monkeypatch, variant):
     for name, limit in limits.items():
         assert calls[name] <= limit, f"{name}: {calls[name]} calls > {limit}"
     assert len(tape) <= n_ops, f"{len(tape)} tape ops > {n_ops}"
+
+
+def test_cross_dual_key_training_step_op_count():
+    # a training step's input needs no gradient, so only ops that reach a
+    # weight or the keys are taped: the forward plus the loss's four ops
+    cfg = ModelConfig(lookback=96, horizon=16, n_features=7, n_scales=3, patch_len=16)
+    with Tape() as tape:
+        forecast, _ = model_forward(Tensor(RNG.normal(size=(2, 96, 7))), init_params(cfg, seed=25), cfg)
+        mse_loss(forecast, RNG.normal(size=(2, 16, 1)), [6])
+    assert len(tape) <= 42, f"{len(tape)} tape ops > 42"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("lookback", [96, 336])
+def test_forward_is_bit_identical_to_the_unfused_attention_chain(monkeypatch, variant, lookback):
+    # the acceptance config; at lookback 336 the scales are 168 and 84
+    # steps long, so scale 3 pads its last patch of 16
+    cfg = ModelConfig(lookback=lookback, horizon=16, n_features=7, n_scales=3, patch_len=16, variant=variant)
+    batch = 32 if lookback == 96 else 8  # the training batch; fewer long windows
+    x = np.random.default_rng(27).normal(size=(batch, lookback, 7))
+    weights = Tensor(np.random.default_rng(28).normal(size=(batch, 16, 7)))
+
+    def run():
+        params = init_params(cfg, seed=29)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            forecast, records = model_forward(xt, params, cfg)
+            tape.backward(sum_all(mul(forecast, weights)))
+        arrays = [forecast.data, xt.grad] + [t.grad for _, t in params.named_tensors()]
+        return arrays + [a for r in records for a in (r.patch_weights, r.local_weights)]
+
+    fused = run()
+    monkeypatch.setattr(model_mod, "cross_patch_attention", unfused_cross_patch_attention)
+    chain = run()
+    assert len(fused) == len(chain)
+    for i, (a, b) in enumerate(zip(fused, chain)):
+        assert same_bytes(a, b), f"array {i} differs"
 
 
 def test_tape_free_self_attention_peak_memory():

@@ -77,6 +77,13 @@ def test_spec_validation():
         SynthSpec("bad", (1,), (0,), -0.1)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_a_non_finite_noise_sigma(sigma):
+    # NaN used to pass as noiseless data, +inf to give an all-NaN target
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        SynthSpec("bad", (1,), (0,), sigma)
+
+
 # ---------------------------------------------------------------------------
 # feature process
 

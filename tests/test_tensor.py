@@ -25,6 +25,7 @@ from crossscalenet.tensor import (
     mean_axis,
     moving_average,
     mul,
+    patched_attention,
     patchify,
     reshape,
     sigmoid,
@@ -127,6 +128,49 @@ def test_softmax_in_place_is_bit_identical_to_three_array_form():
         assert np.array_equal(softmax_lastdim(Tensor(x)).data, _three_array_softmax(x))
     report = grad_check(_weighted(softmax_lastdim, _const(3, 4)), rand(2, 3, 4), eps=1e-5, tol=1e-4)
     assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 16, 17, 64, 65, 168])
+def test_softmax_rows_give_the_bytes_of_the_reduction_max_form(length):
+    # short rows take their max by strided pairs, long ones by the reduction;
+    # either way the softmax must keep the bytes of the s.max(axis=-1) form
+    rng = np.random.default_rng(14)
+    s = rng.normal(size=(40, 3, length))
+    s[1] = 2.5  # every entry ties
+    s[2, :, ::2] = 0.0  # ties at +0.0 beside -0.0
+    s[2, :, 1::2] = -0.0
+    s[3] = -0.0
+    s[4, :, -1] = s[4].max() + 1.0  # the max in the odd last column
+    s[5, :, ::3] = np.round(s[5, :, ::3])  # repeated values
+    expected = s.copy()
+    expected -= expected.max(axis=-1, keepdims=True)
+    np.exp(expected, out=expected)
+    expected /= expected.sum(axis=-1, keepdims=True)
+    assert tensor._softmax_rows(s.copy()).tobytes() == expected.tobytes()
+    # a row of +0.0 and -0.0 may take either zero as its max; exp erases the sign
+    assert np.array_equal(tensor._row_max(s), s.max(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("shape", [(768, 16, 7), (1536, 8, 7), (73 * 11, 16, 7)])
+def test_row_projection_gives_the_bytes_of_the_batched_matmul(shape):
+    # one 2-d product over the rows in place of numpy's per-matrix loop: the
+    # bytes match on the OpenBLAS these tests run with, which no standard
+    # promises; the fused attention op's bit-identity tests rest on it too
+    rng = np.random.default_rng(15)
+    x, w = rng.normal(size=shape), rng.normal(size=(shape[-1], shape[-1]))
+    assert tensor._project(x, w).tobytes() == np.matmul(x, w).tobytes()
+    assert tensor._project(x[:, :1], w).tobytes() == np.matmul(x[:, :1], w).tobytes()
+
+
+def test_patched_attention_shape_errors():
+    x = Tensor(rand(2, 3, 8))
+    proj = [Tensor(rand(3, 3)) for _ in range(6)]
+    patched_attention(x, x, x, 4, proj)
+    for args in ([Tensor(rand(3, 8)), x, x, 4, proj], [x, Tensor(rand(2, 3, 7)), x, 4, proj],
+                 [x, x, x, 4, proj[:3]], [x, x, None, 1, proj], [x, x, x, 0, proj],
+                 [x, x, x, 4, [Tensor(rand(2, 2))] * 6]):
+        with pytest.raises(ShapeError):
+            patched_attention(*args)
 
 
 def test_softmax_empty_axis_errors():
@@ -434,6 +478,24 @@ def test_encoder_mlp_non_finite_hidden_layer_names_the_op():
         encoder_mlp(x, w1, *ones)
 
 
+@pytest.mark.parametrize("variant", ["self", "dual"])
+@pytest.mark.parametrize("where", ["values", "keys"])
+def test_patched_attention_rejects_an_overflowing_projection(variant, where):
+    # projections are not scanned: an overflowing value reaches the output
+    # (inf times a weight), an overflowing key the scanned scores
+    key_patch, key_local, p, n_proj = _PATCHED[variant]
+    vals = {**_OPERANDS, None: None}
+    proj = [vals[f"w{j}"] for j in range(n_proj)]
+    if where == "values":
+        proj[2] = proj[-1] = Tensor(np.full((2, 2), 1e300))
+    else:
+        proj[1] = proj[-2] = Tensor(np.full((2, 2), 1e300))
+    x = Tensor(np.full((2, 2, 7), 1e10))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        patched_attention(x, x if key_patch == "x" else vals[key_patch] * 1e10,
+                          None if key_local is None else vals[key_local] * 1e10, p, proj)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["pos_inf", "neg_inf"])
 def test_softmax_attention_rejects_overflowing_scores(sign):
     # q.k overflows to +inf or -inf in the first key; the second key's
@@ -550,6 +612,8 @@ PROTOCOL_CASES = [
     ("broadcast_to", lambda x: broadcast_to(x, (4, 2, 3)), (2, 3)),
     ("concat", lambda x: concat([x, Tensor(np.ones((2, 3)))], 0), (2, 3)),
     ("take_lastdim", lambda x: take_lastdim(x, [2, 0]), (2, 3)),
+    ("patched_attention",
+     lambda x: patched_attention(x, x, x, 2, [Tensor(np.eye(2)) for _ in range(6)])[0], (1, 2, 5)),
     ("avg_downsample", lambda x: avg_downsample(x, 2), (2, 6)),
     ("moving_average", lambda x: moving_average(x, 3), (2, 6)),
     ("linear_interp", lambda x: linear_interp(x, 4), (2, 6)),
@@ -616,6 +680,37 @@ _Q3, _K3, _V3D = _const(2, 3, 4), _const(2, 5, 4), _const(2, 5, 2)
 _Q4, _K4, _V4 = _const(2, 2, 3, 4), _const(2, 2, 5, 4), _const(2, 2, 5, 2)
 
 
+# patched_attention operands: (2, 2, 7) streams "x", "k1" and "k2", patch
+# length 3 (so the last patch pads two steps) and six (2, 2) projections
+# "w0".."w5". Per variant: the patch key, the local key, the patch length
+# and the projection count; a key named "x" is the input itself.
+_OPERANDS = {"x": _const(2, 2, 7), "k1": _const(2, 2, 7), "k2": _const(2, 2, 7),
+             **{f"w{j}": _const(2, 2) for j in range(6)}}
+_PATCHED = {
+    "self": ("x", None, 1, 3),
+    "patch": ("x", "x", 3, 6),
+    "shared": ("k1", "k1", 3, 6),
+    "dual": ("k1", "k2", 3, 6),
+}
+
+
+def _patched_with(variant: str, name: str):
+    """patched_attention's context as a function of one operand, the others fixed."""
+    key_patch, key_local, p, n_proj = _PATCHED[variant]
+
+    def f(v):
+        vals = {**_OPERANDS, name: v, None: None}
+        return patched_attention(vals["x"], vals[key_patch], vals[key_local], p,
+                                 [vals[f"w{j}"] for j in range(n_proj)])[0]
+
+    return f
+
+
+def _patched_operands(variant: str) -> list[str]:
+    key_patch, key_local, _, n_proj = _PATCHED[variant]
+    return list(dict.fromkeys(n for n in ("x", key_patch, key_local) if n)) + [f"w{j}" for j in range(n_proj)]
+
+
 # encoder_mlp operands: x (2, 3, 5), hidden 6, horizon 4, 3 channels
 _ENC = [_const(2, 3, 5), _const(5, 6), _const(6), _const(6, 4), _const(4), _const(3, 3), _const(3)]
 
@@ -648,6 +743,11 @@ OP_CASES = [
     ("softmax_attention_k4", _weighted(lambda x: softmax_attention(_Q4, x, _V4, 1.3)[0], _const(2, 2, 3, 2)), (2, 2, 5, 4)),
     ("softmax_attention_v4", _weighted(lambda x: softmax_attention(_Q4, _K4, x, 1.3)[0], _const(2, 2, 3, 2)), (2, 2, 5, 2)),
     ("sigmoid", _weighted(sigmoid, _const(6,)), (6,)),
+    *(
+        (f"patched_attention_{variant}_{name}", _weighted(_patched_with(variant, name), _const(2, 2, 7)),
+         _OPERANDS[name].shape)
+        for variant in _PATCHED for name in _patched_operands(variant)
+    ),
     *(
         (f"encoder_mlp_{name}", _weighted(_encoder_with(i), _const(2, 3, 4)), _ENC[i].shape)
         for i, name in enumerate(("x", "w1", "b1", "w2", "b2", "wc", "bc"))

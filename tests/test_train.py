@@ -226,9 +226,14 @@ def test_history_csv(tmp_path):
     assert float(lines[1].split(",")[1]) == 0.5
 
 
+@pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+def test_train_config_requires_a_finite_positive_learning_rate(rate):
+    # nan <= 0 is false, so NaN used to pass and fail only inside training
+    with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+        TrainConfig(learning_rate=rate)
+
+
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(patience=-1)
     with pytest.raises(ValueError):
