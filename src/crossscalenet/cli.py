@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -193,14 +194,17 @@ def cmd_train(resolved: dict) -> int:
 
 
 def _parse_list(flag: str, text: str, read, what: str) -> tuple:
-    """The comma-separated items of a list flag, each read by read; an item
-    it refuses raises ValueError naming the flag, the item and what it must be."""
+    """The comma-separated items of a list flag, each read by read; an item it refuses
+    or that reads equal to an earlier one raises ValueError naming the flag and the item."""
     items = []
     for item in text.split(","):
         try:
-            items.append(read(item))
+            value = read(item)
         except ValueError:
             raise ValueError(f"{flag}: cannot read {item!r} as {what}") from None
+        if value in items:
+            raise ValueError(f"{flag}: {item!r} repeats an earlier item")
+        items.append(value)
     return tuple(items)
 
 
@@ -261,6 +265,26 @@ def _run_names(datasets: tuple) -> list[str]:
     return names
 
 
+def sweep(datasets, variants, seeds, flags: dict, out) -> list[dict]:
+    """Train each dataset x variant x seed run with the training flags in flags,
+    under out/runs/<name>_<variant>_<seed>/. One row per run, in that order: the
+    dataset item as given, variant, seed, and mse and mae or, if the run failed, error."""
+    rows = []
+    for (data, name), variant, seed in itertools.product(zip(datasets, _run_names(datasets)),
+                                                          variants, seeds):
+        row = {"dataset": data, "variant": variant, "seed": seed}
+        run_dir = Path(out) / "runs" / f"{name}_{variant}_{seed}"
+        try:
+            metrics = _train_run({**flags, "data": data, "variant": variant, "seed": seed,
+                                  "target": None, "out": str(run_dir)}, run_dir)
+            row.update(mse=metrics.mse, mae=metrics.mae)
+        except Exception as exc:  # keep sweeping, record the failure
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            traceback.print_exc()
+        rows.append(row)
+    return rows
+
+
 def cmd_ablation(resolved: dict) -> int:
     datasets = _parse_list("--datasets", resolved["datasets"], _dataset_item,
                            f"a dataset, one of {', '.join(BUILTIN_NAMES)} or an existing file")
@@ -270,44 +294,26 @@ def cmd_ablation(resolved: dict) -> int:
     out = _prepare_out(resolved["out"] or Path(_out_root()) / "ablation")
     # every run trains with the sweep's training flags
     shared = {k: v for k, v in resolved.items() if k not in ("datasets", "variants", "seeds")}
-
-    rows = []
-    failures = []
-    for dataset_name, run_name in zip(datasets, _run_names(datasets)):
-        for variant in variants:
-            per_seed = []
-            for seed in seeds:
-                run_dir = out / "runs" / f"{run_name}_{variant}_{seed}"
-                try:
-                    run = {**shared, "data": dataset_name, "variant": variant, "seed": seed,
-                           "target": None, "out": str(run_dir)}
-                    metrics = _train_run(run, run_dir)
-                    per_seed.append((metrics.mse, metrics.mae))
-                except Exception as exc:  # keep sweeping, record the failure
-                    failures.append({"dataset": dataset_name, "variant": variant,
-                                     "seed": seed, "error": f"{type(exc).__name__}: {exc}"})
-                    traceback.print_exc()
-            if per_seed:
-                mse = float(np.mean([m for m, _ in per_seed]))
-                mae = float(np.mean([a for _, a in per_seed]))
-                rows.append({"dataset": dataset_name, "variant": variant,
-                             "mse": mse, "mae": mae, "n_seeds": len(per_seed)})
-
-    with open(out / "ablation.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["dataset", "variant", "mse", "mae", "n_seeds"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({**row, "mse": f"{row['mse']:.17g}", "mae": f"{row['mae']:.17g}"})
+    rows = sweep(datasets, variants, seeds, shared, out)
+    failures = [row for row in rows if "error" in row]
+    groups = {}  # the runs that did not fail, by (dataset, variant) in sweep order
+    for row in rows:
+        if "error" not in row:
+            groups.setdefault((row["dataset"], row["variant"]), []).append(row)
 
     lines = ["| Dataset | Variant | MSE | MAE |", "|---|---|---|---|"]
-    for row in rows:
-        lines.append(f"| {row['dataset']} | {row['variant']} | {row['mse']:.4f} | {row['mae']:.4f} |")
+    with open(out / "ablation.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dataset", "variant", "mse", "mae", "n_seeds"])
+        for (dataset, variant), group in groups.items():
+            mse, mae = (float(np.mean([row[key] for row in group])) for key in ("mse", "mae"))
+            writer.writerow([dataset, variant, f"{mse:.17g}", f"{mae:.17g}", len(group)])
+            lines.append(f"| {dataset} | {variant} | {mse:.4f} | {mae:.4f} |")
     (out / "ablation.md").write_text("\n".join(lines) + "\n")
 
-    if failures:
-        (out / "failures.json").write_text(json.dumps(failures, indent=1, sort_keys=True))
+    (out / "failures.json").write_text(json.dumps(failures, indent=1, sort_keys=True))
     _write_snapshot(out, "ablation", resolved)
-    print(f"{len(rows)} sweep rows ({len(failures)} failures) under {out}")
+    print(f"{len(groups)} sweep rows ({len(failures)} failures) under {out}")
     return 0 if not failures else 1
 
 
@@ -342,9 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--samples", type=int, default=None)
     p_gen.add_argument("--lookback", type=int, default=96, help="lookback for the exported mask")
     p_gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_gen.add_argument("--out", default=None)
-    p_gen.add_argument("--config", default=None)
-    p_gen.set_defaults(func=cmd_gen, subparser=p_gen)
 
     p_train = sub.add_parser("train", help="train a model and write checkpoint/metrics")
     p_train.add_argument("--data", required=True, help="CSV path or builtin dataset name")
@@ -352,9 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--target", default=None, help="target column name or index (default: the last column)")
     _add_common_train_flags(p_train)
     p_train.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_train.add_argument("--out", default=None)
-    p_train.add_argument("--config", default=None)
-    p_train.set_defaults(func=cmd_train, subparser=p_train)
 
     p_explain = sub.add_parser("explain", help="saliency, faithfulness metrics, heatmaps")
     p_explain.add_argument("--checkpoint", required=True)
@@ -365,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--ig-steps", type=int, default=64, dest="ig_steps")
     p_explain.add_argument("--ig-windows", type=int, default=16, dest="ig_windows")
     p_explain.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_explain.add_argument("--out", default=None)
-    p_explain.add_argument("--config", default=None)
-    p_explain.set_defaults(func=cmd_explain, subparser=p_explain)
 
     # no abbreviated flags: --seed, which train and explain take, would read as --seeds
     p_abl = sub.add_parser("ablation", help="cross-product sweep over datasets/variants/seeds",
@@ -376,10 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.add_argument("--variants", default=",".join(VARIANTS))
     p_abl.add_argument("--seeds", default="42")
     _add_common_train_flags(p_abl)
-    p_abl.add_argument("--out", default=None)
-    p_abl.add_argument("--config", default=None)
-    p_abl.set_defaults(func=cmd_ablation, subparser=p_abl)
 
+    # every command writes under --out and may take its defaults from --config
+    for p, func in ((p_gen, cmd_gen), (p_train, cmd_train), (p_explain, cmd_explain),
+                    (p_abl, cmd_ablation)):
+        p.add_argument("--out", default=None)
+        p.add_argument("--config", default=None)
+        p.set_defaults(func=func, subparser=p)
     return parser
 
 

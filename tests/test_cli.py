@@ -1,5 +1,6 @@
 """End-to-end CLI runs on miniature configurations."""
 
+import ast
 import csv
 import json
 import shlex
@@ -11,11 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossscalenet.cli import _run_names, build_parser, main
+from crossscalenet.cli import _run_names, build_parser, main, sweep
 from crossscalenet.model import CrossScaleNet
 
 FAST_TRAIN = ["--lookback", "32", "--horizon", "8", "--scales", "2", "--patch", "8",
               "--hidden", "8", "--epochs", "1", "--batch", "16"]
+# FAST_TRAIN as the training flags a sweep passes to each run
+FAST_FLAGS = {"lookback": 32, "horizon": 8, "scales": 2, "patch": 8, "kernel": 25, "hidden": 8,
+              "lr": 1e-3, "batch": 16, "epochs": 1, "patience": 5, "no_instance_norm": False}
 
 
 def run(*argv):
@@ -266,11 +270,14 @@ def test_ablation_sweep(gen_dir, tmp_path):
     ("--variants", "self_attention,foo", "--variants: cannot read 'foo' as a variant, one of "),
     ("--datasets", "SYN1,nosuch.csv",
      "--datasets: cannot read 'nosuch.csv' as a dataset, one of SYN1, SYN2, "),
-], ids=["seed", "variant", "dataset"])
+    ("--seeds", "11,12,011", "--seeds: '011' repeats an earlier item"),
+    ("--variants", "self_attention,self_attention", "--variants: 'self_attention' repeats an earlier item"),
+    ("--datasets", "SYN1,SYN5,SYN1", "--datasets: 'SYN1' repeats an earlier item"),
+], ids=["seed", "variant", "dataset", "repeated_seed", "repeated_variant", "repeated_dataset"])
 def test_ablation_bad_list_item_fails_before_any_work(tmp_path, capsys, flag, value, message):
     # a bad seed gave int()'s bare message; a bad variant or a missing
     # dataset file trained the good ones, printed a traceback per bad run
-    # and exited 1
+    # and exited 1; a repeated item trained the same run directory twice
     assert run("ablation", flag, value, *FAST_TRAIN, "--out", tmp_path / "x") == 2
     assert message in one_error_line(capsys)
     assert not (tmp_path / "x").exists()
@@ -284,6 +291,44 @@ def test_ablation_run_failure_goes_to_failures_json(tmp_path):
     assert failure["variant"] == "self_attention" and failure["seed"] == 11
     assert failure["error"].startswith("TrainingDiverged")
     assert not (out / "runs" / "SYN1_self_attention_11").exists()
+    # a clean rerun into the same --out left the diverged entry in failures.json
+    assert run("ablation", "--variants", "self_attention", "--seeds", "11", *FAST_TRAIN,
+               "--out", out) == 0
+    assert json.loads((out / "failures.json").read_text()) == []
+
+
+def test_sweep_returns_a_row_per_run_that_the_ablation_table_averages(tmp_path):
+    variants, seeds = ("self_attention", "cross_dual_key"), (11, 12)
+    rows = sweep(("SYN1",), variants, seeds, FAST_FLAGS, tmp_path / "lib")
+    assert [(r["dataset"], r["variant"], r["seed"]) for r in rows] == [
+        ("SYN1", "self_attention", 11), ("SYN1", "self_attention", 12),
+        ("SYN1", "cross_dual_key", 11), ("SYN1", "cross_dual_key", 12)]
+    for row in rows:
+        metrics = json.loads((tmp_path / "lib" / "runs" / f"SYN1_{row['variant']}_{row['seed']}"
+                              / "metrics.json").read_text())
+        assert row == {"dataset": "SYN1", "variant": row["variant"], "seed": row["seed"], **metrics}
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverged = sweep(("SYN1",), ("self_attention",), seeds, {**FAST_FLAGS, "lr": 1e200},
+                         tmp_path / "diverged")
+    assert [(r["dataset"], r["variant"], r["seed"], sorted(r)) for r in diverged] == [
+        ("SYN1", "self_attention", seed, ["dataset", "error", "seed", "variant"]) for seed in seeds]
+    assert all(r["error"].startswith("TrainingDiverged: numeric blowup") for r in diverged)
+    assert not (tmp_path / "diverged").exists()
+
+    # each ablation.csv mean is the mean of its group's per-run metrics.json
+    out = tmp_path / "cli"
+    assert run("ablation", "--variants", ",".join(variants), "--seeds", "11,12", *FAST_TRAIN,
+               "--out", out) == 0
+    with open(out / "ablation.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert [(t["dataset"], t["variant"], t["n_seeds"]) for t in table] == [
+        ("SYN1", variant, "2") for variant in variants]
+    for t in table:
+        runs = [json.loads((out / "runs" / f"SYN1_{t['variant']}_{seed}" / "metrics.json").read_text())
+                for seed in seeds]
+        for key in ("mse", "mae"):
+            assert float(t[key]) == float(np.mean([r[key] for r in runs]))
 
 
 def test_ablation_has_no_seed_flag_or_key(tmp_path, capsys):
@@ -487,11 +532,13 @@ def test_explain_rejects_fewer_than_one_ig_window(gen_dir, train_dir, tmp_path, 
 @pytest.mark.parametrize("flag, value, message", [
     ("--ratios", "0.1,1.5", "ratio must be in (0, 1], got 1.5"),
     ("--ig-steps", "0", "steps must be >= 1, got 0"),
-], ids=["ratio", "ig_steps"])
+    ("--ratios", "0.1,0.10", "--ratios: '0.10' repeats an earlier item"),
+], ids=["ratio", "ig_steps", "repeated_ratio"])
 def test_explain_rejects_bad_arguments_before_it_works(gen_dir, train_dir, tmp_path, capsys,
                                                         flag, value, message):
     # a bad ratio used to fail only after the battery had run, and both
-    # runs left an empty --out directory behind
+    # runs left an empty --out directory behind; a repeated ratio was
+    # reported once
     args = {"--ig-steps": "2", "--ig-windows": "1", flag: value}
     assert run("explain", "--checkpoint", train_dir / "model.ckpt", "--data", gen_dir / "SYN1.csv",
                *[s for pair in args.items() for s in pair], "--out", tmp_path / "x") == 2
@@ -647,8 +694,13 @@ def test_spec_file_reads_each_field_exactly(tmp_path, capsys, key, value, messag
 
 
 def test_readme_cli_examples_parse():
-    # a flag the README documents but the parser lost fails here
+    # a flag the README documents but the parser lost fails here, and so
+    # does a name the library sketch imports that was renamed or unexported
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("\n## Library sketch\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imports = [node for node in ast.parse(sketch).body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
     block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
     commands = [line for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("crossscalenet ")]
